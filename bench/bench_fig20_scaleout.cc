@@ -121,12 +121,11 @@ int main() {
       // a real shared-nothing cluster.
       double makespan = 0;
       for (int w = 0; w < workers; ++w) {
-        query::StoreSegmentSource source(stores[w].get());
         Stopwatch stopwatch;
         for (const std::string& sql : sqls) {
           auto ast = bench::CheckOk(query::ParseQuery(sql), "parse");
           auto compiled = bench::CheckOk(engine.Compile(ast), "compile");
-          bench::CheckOk(engine.ExecutePartial(compiled, source),
+          bench::CheckOk(engine.ExecutePartial(compiled, *stores[w]),
                          "partial");
         }
         makespan = std::max(makespan, stopwatch.ElapsedSeconds());
@@ -182,8 +181,7 @@ int main() {
     }
 
     query::QueryEngine engine(ds.catalog(), groups, &registry);
-    query::StoreSegmentSource source(store.get());
-    std::vector<Gid> morsels = store->Gids();
+    const size_t num_morsels = store->Gids().size();
     auto time_partials = [&](ThreadPool* pool,
                              workload::QueryTarget target) {
       std::vector<std::string> sqls;
@@ -195,7 +193,7 @@ int main() {
         auto ast = bench::CheckOk(query::ParseQuery(sql), "parse");
         auto compiled = bench::CheckOk(engine.Compile(ast), "compile");
         bench::CheckOk(
-            engine.ExecutePartialParallel(compiled, source, morsels, pool),
+            engine.ExecutePartial(compiled, *store, pool),
             "partial");
       }
       return stopwatch.ElapsedSeconds();
@@ -203,7 +201,7 @@ int main() {
 
     int threads = ThreadPool::DefaultParallelism();
     std::printf("\nintra-worker morsel scaling (1 worker, %d threads, "
-                "%zu Gid morsels)\n", threads, morsels.size());
+                "%zu Gid morsels)\n", threads, num_morsels);
     std::printf("%-24s %14s %14s %10s\n", "view", "seq s", "pool s",
                 "speedup");
     for (auto target : {workload::QueryTarget::kSegmentView,
@@ -222,7 +220,7 @@ int main() {
       json.Add(key + "_pool_seconds", pooled);
       json.Add(key + "_speedup", seq / pooled);
     }
-    json.Add("intra_morsels", static_cast<int64_t>(morsels.size()));
+    json.Add("intra_morsels", static_cast<int64_t>(num_morsels));
     bench::PrintNote("morsel target: speedup -> min(threads, morsels) on "
                      "multi-core machines; ~1.0x on one core");
   }

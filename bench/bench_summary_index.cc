@@ -93,8 +93,6 @@ int main() {
   auto exhaustive = open_store(0);
 
   query::QueryEngine engine(&catalog, groups, &registry);
-  query::StoreSegmentSource indexed_source(indexed.get());
-  query::StoreSegmentSource exhaustive_source(exhaustive.get());
 
   const Timestamp max_time =
       static_cast<Timestamp>(kSegmentsPerGroup) * kRowsPerSegment * kSi - 1;
@@ -123,18 +121,18 @@ int main() {
   double whole_range_speedup = 0.0;
   bool identical = true;
   for (const Workload& w : workloads) {
-    auto run = [&](const query::SegmentSource& source, double* seconds) {
+    auto run = [&](const SegmentStore* store, double* seconds) {
       query::QueryResult result;
       Stopwatch stopwatch;
       for (int r = 0; r < w.repeats; ++r) {
-        result = bench::CheckOk(engine.Execute(w.sql, source), w.name);
+        result = bench::CheckOk(engine.Execute(w.sql, {store}), w.name);
       }
       *seconds = stopwatch.ElapsedSeconds() / w.repeats;
       return result;
     };
     double indexed_s = 0, exhaustive_s = 0;
-    query::QueryResult from_index = run(indexed_source, &indexed_s);
-    query::QueryResult from_decode = run(exhaustive_source, &exhaustive_s);
+    query::QueryResult from_index = run(indexed.get(), &indexed_s);
+    query::QueryResult from_decode = run(exhaustive.get(), &exhaustive_s);
     if (!SameRows(from_index, from_decode)) {
       identical = false;
       std::printf("MISMATCH on %s\n", w.name);

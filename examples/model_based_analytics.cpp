@@ -71,11 +71,11 @@ int main() {
   }
   query::SimilaritySearch search(&(*engine)->query_engine(), &registry,
                                  farm.catalog());
-  query::StoreSegmentSource source(
+  const SegmentStore* store =
       (*engine)->worker((*engine)->WorkerOf(
-          (*engine)->query_engine().GidOf(7)))->store());
+          (*engine)->query_engine().GidOf(7)))->store();
   query::SimilarityStats stats;
-  auto matches = search.TopK(source, /*tid=*/7, pattern, 3, &stats);
+  auto matches = search.TopK(*store, /*tid=*/7, pattern, 3, &stats);
   if (!matches.ok()) {
     std::fprintf(stderr, "similarity failed: %s\n",
                  matches.status().ToString().c_str());

@@ -73,17 +73,18 @@ int main() {
               static_cast<long long>(cs.joins), coordinator.NumSubgroups());
 
   query::QueryEngine engine(&catalog, groups, &registry);
-  query::StoreSegmentSource source((*store).get());
+  // A single node is a one-partition cluster.
+  const query::Partitions partitions = {(*store).get()};
 
   auto counts = engine.Execute(
-      "SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid", source);
+      "SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid", partitions);
   std::printf("\nData points per turbine (turbine 3 is 500 short — its "
               "outage is a gap, not fabricated data):\n%s",
               counts->ToString().c_str());
 
   int64_t total = 0;
   auto total_result =
-      engine.Execute("SELECT COUNT_S(*) FROM Segment", source);
+      engine.Execute("SELECT COUNT_S(*) FROM Segment", partitions);
   total = std::get<int64_t>(total_result->rows[0][0]);
   std::printf("Total stored points: %lld (ingested: %lld)\n",
               static_cast<long long>(total),
@@ -96,7 +97,7 @@ int main() {
   // The outage window of turbine 4, hour by hour.
   auto profile = engine.Execute(
       "SELECT CUBE_AVG_HOUR(*) FROM Segment WHERE Tid = 4 LIMIT 3",
-      source);
+      partitions);
   std::printf("\nTurbine 4, average power per hour (the curtailment is "
               "visible in the second hour):\n%s",
               profile->ToString().c_str());

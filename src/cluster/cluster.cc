@@ -6,23 +6,11 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "obs/watchdog.h"
-#include "query/parser.h"
-#include "util/strings.h"
 
 namespace modelardb {
 namespace cluster {
 namespace {
 
-obs::Counter& ClusterQueriesTotal() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter(obs::kClusterQueriesTotal);
-  return counter;
-}
-obs::Histogram& ClusterSeconds() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram(obs::kClusterSeconds);
-  return histogram;
-}
 obs::Counter& ClusterSegmentsEmitted() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       obs::kClusterSegmentsEmittedTotal);
@@ -106,6 +94,7 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Create(
     store_options.group_sizes = std::move(worker_group_sizes[i]);
     MODELARDB_ASSIGN_OR_RETURN(std::unique_ptr<SegmentStore> store,
                                SegmentStore::Open(store_options));
+    engine->partitions_.push_back(store.get());
     engine->workers_.push_back(
         std::make_unique<Worker>(i, std::move(store)));
   }
@@ -183,172 +172,18 @@ Status ClusterEngine::FlushAll() {
 Result<query::PartialResult> ClusterEngine::ExecuteOnWorker(
     const query::CompiledQuery& compiled, int worker, obs::Trace* trace,
     int32_t parent_span) const {
-  const SegmentStore* store = workers_[worker]->store();
-  query::StoreSegmentSource source(store);
-  // Morsel per Gid; an empty filter means "all groups on this worker".
-  std::vector<Gid> morsel_gids =
-      compiled.filter.gids.empty() ? store->Gids() : compiled.filter.gids;
-  // Submit heavy morsels first: weight each Gid by the summary index's
-  // surviving-segment estimate so large groups start earliest and the
-  // pool's tail stays short. The merge happens in ascending Gid order
-  // regardless, so scheduling cannot change results.
-  std::vector<std::pair<int64_t, Gid>> weighted;
-  weighted.reserve(morsel_gids.size());
-  for (Gid gid : morsel_gids) {
-    weighted.emplace_back(
-        store->EstimateSurvivingSegments(gid, compiled.filter), gid);
-  }
-  std::stable_sort(weighted.begin(), weighted.end(),
-                   [](const std::pair<int64_t, Gid>& a,
-                      const std::pair<int64_t, Gid>& b) {
-                     return a.first > b.first;
-                   });
-  for (size_t i = 0; i < weighted.size(); ++i) {
-    morsel_gids[i] = weighted[i].second;
-  }
-  return query_engine_->ExecutePartialParallel(compiled, source, morsel_gids,
-                                               pool_, trace, parent_span);
+  return query_engine_->ExecutePartial(compiled, *workers_[worker]->store(),
+                                       pool_, trace, parent_span);
 }
 
 Result<query::QueryResult> ClusterEngine::Execute(const query::Query& ast,
                                                   obs::Trace* trace) const {
-  if (ast.view == query::View::kMetrics ||
-      ast.view == query::View::kTraces ||
-      ast.view == query::View::kHealth) {
-    // Introspection views are process-wide; the single-source engine
-    // answers them without touching any store.
-    query::StoreSegmentSource source(workers_[0]->store());
-    return query_engine_->Execute(ast, source);
-  }
-  if (ast.explain) {
-    MODELARDB_ASSIGN_OR_RETURN(std::string text, query_engine_->Explain(ast));
-    query::QueryResult result;
-    result.columns = {"plan"};
-    for (const std::string& line : SplitString(text, '\n')) {
-      if (!line.empty()) result.rows.push_back({line});
-    }
-    query::Query stripped = ast;
-    stripped.explain = false;
-    stripped.analyze = false;
-    MODELARDB_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
-                               query_engine_->Compile(stripped));
-    if (ast.analyze) {
-      // EXPLAIN ANALYZE runs the scan on every worker and reports the
-      // merged summary-index pruning counters for this query, plus the
-      // per-stage span tree.
-      std::unique_ptr<obs::Trace> local_trace;
-      if (trace == nullptr) {
-        local_trace = obs::Tracer::Global().StartForcedTrace("EXPLAIN ANALYZE");
-        trace = local_trace.get();
-      }
-      ScanStats scan;
-      for (size_t i = 0; i < workers_.size(); ++i) {
-        obs::ScopedSpan worker_span(trace,
-                                    "worker " + std::to_string(i) + " scan");
-        MODELARDB_ASSIGN_OR_RETURN(
-            query::PartialResult partial,
-            ExecuteOnWorker(compiled, static_cast<int>(i), trace,
-                            worker_span.id()));
-        scan.Merge(partial.scan);
-      }
-      for (const std::string& line : query::ScanStatsLines(scan)) {
-        result.rows.push_back({line});
-      }
-      if (trace != nullptr) {
-        result.rows.push_back({std::string("span tree")});
-        std::string rendered = obs::RenderSpanTree(trace->Spans(), "  ");
-        for (const std::string& line : SplitString(rendered, '\n')) {
-          if (!line.empty()) result.rows.push_back({line});
-        }
-      }
-      if (local_trace != nullptr) {
-        obs::Tracer::Global().Finish(std::move(local_trace));
-      }
-    } else {
-      // Plain EXPLAIN stays cheap: sum the fence-based upper bound over
-      // every worker's store instead of executing the query.
-      int64_t estimate = 0;
-      for (const auto& worker : workers_) {
-        const SegmentStore* store = worker->store();
-        const std::vector<Gid> gids =
-            compiled.filter.gids.empty() ? store->Gids() : compiled.filter.gids;
-        for (Gid gid : gids) {
-          estimate += store->EstimateSurvivingSegments(gid, compiled.filter);
-        }
-      }
-      result.rows.push_back(
-          {"estimated surviving segments: " + std::to_string(estimate)});
-      result.rows.push_back(
-          {"hint: EXPLAIN ANALYZE runs the scan and reports exact pruning "
-           "counters"});
-    }
-    return result;
-  }
-  const bool timed = obs::Enabled();
-  const int64_t start_ns = timed ? obs::MonotonicNanos() : 0;
-  obs::ScopedSpan plan_span(trace, "plan");
-  MODELARDB_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
-                             query_engine_->Compile(ast));
-  plan_span.End();
-  // Fan out one task per worker onto the shared pool; each worker task
-  // fans out per-Gid morsels onto the same pool (TaskGroup::Wait helps run
-  // them, so the nesting cannot deadlock). Partials are merged in worker
-  // order, keeping results byte-identical to sequential execution.
-  // Lock-free by design: task i exclusively owns partials[i]/statuses[i],
-  // and TaskGroup::Wait() is the barrier that publishes the slots back to
-  // this thread, so no lock (and no GUARDED_BY) is involved.
-  std::vector<query::PartialResult> partials(workers_.size());
-  std::vector<Status> statuses(workers_.size());
-  obs::ScopedSpan scan_span(trace, "scan");
-  TaskGroup group(pool_);
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    group.Submit([this, &compiled, &partials, &statuses, trace,
-                  scan_id = scan_span.id(), i] {
-      obs::ScopedSpan worker_span(trace, "worker " + std::to_string(i),
-                                  scan_id);
-      auto result = ExecuteOnWorker(compiled, static_cast<int>(i), trace,
-                                    worker_span.id());
-      if (result.ok()) {
-        partials[i] = std::move(*result);
-      } else {
-        statuses[i] = result.status();
-      }
-    });
-  }
-  group.Wait();
-  scan_span.End();
-  for (const Status& status : statuses) {
-    MODELARDB_RETURN_NOT_OK(status);
-  }
-  ScanStats scan_stats;
-  for (const query::PartialResult& partial : partials) {
-    scan_stats.Merge(partial.scan);
-  }
-  obs::ScopedSpan merge_span(trace, "merge");
-  Result<query::QueryResult> result =
-      query_engine_->MergeFinalize(compiled, std::move(partials));
-  merge_span.End();
-  ClusterQueriesTotal().Add();
-  if (timed) {
-    const int64_t latency_ns = obs::MonotonicNanos() - start_ns;
-    ClusterSeconds().Observe(static_cast<double>(latency_ns) * 1e-9);
-    if (result.ok()) {
-      query::MaybeLogSlowQuery("cluster", latency_ns, scan_stats,
-                               static_cast<int64_t>(result->rows.size()));
-    }
-  }
-  return result;
+  return query_engine_->Execute(ast, partitions_, pool_, trace);
 }
 
 Result<query::QueryResult> ClusterEngine::Execute(
     const std::string& sql) const {
-  std::unique_ptr<obs::Trace> trace = obs::Tracer::Global().StartTrace(sql);
-  obs::ScopedSpan parse_span(trace.get(), "parse");
-  MODELARDB_ASSIGN_OR_RETURN(query::Query ast, query::ParseQuery(sql));
-  parse_span.End();
-  Result<query::QueryResult> result = Execute(ast, trace.get());
-  obs::Tracer::Global().Finish(std::move(trace));
-  return result;
+  return query_engine_->Execute(sql, partitions_, pool_);
 }
 
 int64_t ClusterEngine::DiskBytes() const {

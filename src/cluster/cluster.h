@@ -7,6 +7,10 @@
 // require no shuffling — workers compute partial aggregates locally and
 // the master merges them (Algorithms 5/6 distributed as in §6.2).
 //
+// The engine only places data: it owns the workers, their coordinators
+// and stores, and the pool. Queries run through the one orchestration,
+// query::QueryEngine::Execute, over the workers' stores as partitions.
+//
 // Groups are assigned to the worker with the most available capacity
 // (§3.1: "each group is assigned to the worker with the most available
 // resources"), measured in series count, largest groups first.
@@ -90,13 +94,13 @@ class Worker {
 };
 
 // Thread-safety: the engine's own members are frozen after Create() —
-// workers_, worker_of_ and the pool pointer are never mutated again, so
-// concurrent Execute() calls share them read-only without a lock (and
-// without GUARDED_BY; immutable-after-publish is an analyzer boundary,
-// DESIGN.md §3e). All mutable shared state lives behind the workers'
-// SegmentStores, whose annotated mutexes carry the actual guarantees;
-// Ingest() is additionally safe across *different* workers only, because
-// GroupCoordinators are single-writer by design.
+// workers_, partitions_, worker_of_ and the pool pointer are never mutated
+// again, so concurrent Execute() calls share them read-only without a
+// lock (and without GUARDED_BY; immutable-after-publish is an analyzer
+// boundary, DESIGN.md §3e). All mutable shared state lives behind the
+// workers' SegmentStores, whose annotated mutexes carry the actual
+// guarantees; Ingest() is additionally safe across *different* workers
+// only, because GroupCoordinators are single-writer by design.
 class ClusterEngine {
  public:
   // `catalog`, `registry` must outlive the engine; `groups` from the
@@ -117,17 +121,19 @@ class ClusterEngine {
   // Flushes all coordinators and stores.
   Status FlushAll();
 
-  // Parses and executes a query: workers compute partials (in parallel
-  // when configured), the master merges and finalizes. The string overload
-  // records a full query trace (parse → plan → per-worker fan-out →
-  // per-Gid morsels → merge) into obs::Tracer::Global(); the AST overload
-  // attaches spans to `trace` when given (null disables tracing).
+  // Runs a query through query::QueryEngine::Execute with the workers'
+  // stores as partitions, in worker order, on the engine's pool. The
+  // string overload records a full query trace into
+  // obs::Tracer::Global(); the AST overload attaches spans to `trace` when
+  // given (null disables tracing).
   Result<query::QueryResult> Execute(const std::string& sql) const;
   Result<query::QueryResult> Execute(const query::Query& ast,
                                      obs::Trace* trace = nullptr) const;
 
-  // Per-worker partial execution (exposed for the scale-out harness):
-  // splits the worker's store into per-Gid morsels on the pool. Morsel
+  // Per-worker partial execution (exposed for harnesses that drive the
+  // fan-out themselves): QueryEngine::ExecutePartial on the worker's store
+  // and the engine's pool; query_engine().MergeFinalize merges the
+  // partials to the same bits as Execute, in any worker order. Morsel
   // spans attach under `parent_span` when `trace` is given.
   Result<query::PartialResult> ExecuteOnWorker(
       const query::CompiledQuery& compiled, int worker,
@@ -151,6 +157,7 @@ class ClusterEngine {
   const TimeSeriesCatalog* catalog_ = nullptr;
   const ModelRegistry* registry_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
+  query::Partitions partitions_;  // The workers' stores, in worker order.
   std::map<Gid, int> worker_of_;
   std::unique_ptr<query::QueryEngine> query_engine_;
   std::unique_ptr<ThreadPool> owned_pool_;  // parallelism > 1 only.

@@ -98,11 +98,8 @@ void GorillaEncoder::Append(Value v) {
 
 Result<std::vector<Value>> GorillaDecodeStream(
     ByteSpan bytes, size_t count) {
-  // Scalar tier: the one-pass reference. Kernel tiers: the two-pass
-  // decoder (identical bytes either way; the parity CI stage proves it).
-  if (simd::ActiveTier() == simd::Tier::kScalar) {
-    return GorillaDecodeStreamScalar(bytes, count);
-  }
+  // One decoder for every tier: the active kernel table (the scalar table
+  // under MODELARDB_FORCE_SCALAR=1) drives the two-pass decoder.
   return GorillaDecodeStreamWithKernels(bytes, count, simd::Active());
 }
 

@@ -35,16 +35,16 @@ class GorillaEncoder {
 };
 
 // Decodes a stream produced by GorillaEncoder. `count` values are read.
-// Dispatches between the implementations below (DESIGN.md §3f); a stream
-// too short to hold `count` values is Corruption ("truncated stream"),
-// distinguished from legitimate trailing zero bits by BitReader's
-// overrun tracking.
+// Runs GorillaDecodeStreamWithKernels on the active kernel table
+// (DESIGN.md §3f); a stream too short to hold `count` values is
+// Corruption ("truncated stream"), distinguished from legitimate trailing
+// zero bits by overrun tracking.
 Result<std::vector<Value>> GorillaDecodeStream(
     ByteSpan bytes, size_t count);
 
-// The portable one-pass reference decoder (bit-at-a-time BitReader walk).
-// Selected when the scalar kernel tier is active; also the baseline the
-// parity tests and bench_decode_kernels compare against.
+// The portable one-pass reference decoder (bit-at-a-time BitReader walk):
+// not on the production path, it is the baseline the parity tests,
+// storage_corruption_test and bench_decode_kernels compare against.
 Result<std::vector<Value>> GorillaDecodeStreamScalar(
     ByteSpan bytes, size_t count);
 

@@ -66,15 +66,11 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
   X(kStoreScanSegmentsTotal, "modelardb_store_scan_segments_total", kCounter, \
     "Segments delivered to scan callbacks across all scans")                 \
   X(kQueryQueriesTotal, "modelardb_query_queries_total", kCounter,           \
-    "Queries executed by the single-source query engine")                    \
+    "Queries executed over store partitions (a node or a cluster)")          \
   X(kQuerySeconds, "modelardb_query_seconds", kHistogram,                    \
-    "End-to-end latency of single-source queries")                           \
+    "End-to-end latency of queries")                                         \
   X(kQuerySegmentsDecodedTotal, "modelardb_query_segments_decoded_total",    \
     kCounter, "Segment decoders created on the query path")                  \
-  X(kClusterQueriesTotal, "modelardb_cluster_queries_total", kCounter,       \
-    "Queries executed by the cluster engine (master + workers)")             \
-  X(kClusterSeconds, "modelardb_cluster_seconds", kHistogram,                \
-    "End-to-end latency of cluster queries")                                 \
   X(kClusterSegmentsEmittedTotal, "modelardb_cluster_segments_emitted_total", \
     kCounter, "Segments emitted by coordinators during cluster ingestion")   \
   X(kClusterFlushesTotal, "modelardb_cluster_flushes_total", kCounter,       \

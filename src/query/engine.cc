@@ -91,6 +91,14 @@ bool NeedsExactSumFold(const Query& ast) {
   return false;
 }
 
+// The Gids a query runs over in one partition: the push-down Gids, or
+// every group in the store when the filter names none. Both lists are
+// ascending.
+std::vector<Gid> MorselGids(const CompiledQuery& compiled,
+                            const SegmentStore& store) {
+  return compiled.filter.gids.empty() ? store.Gids() : compiled.filter.gids;
+}
+
 void ApplyLimit(const std::optional<int64_t>& limit, QueryResult* result) {
   if (limit.has_value() &&
       static_cast<int64_t>(result->rows.size()) > *limit) {
@@ -187,19 +195,17 @@ QueryResult HealthTable(const std::optional<int64_t>& limit) {
 }  // namespace
 
 // Logs queries slower than the threshold with their resource breakdown and
-// records them in the flight recorder; `where` names the caller for the log
-// line ("engine" or "cluster").
-void MaybeLogSlowQuery(const char* where, int64_t latency_ns,
-                       const ScanStats& scan, int64_t rows) {
+// records them in the flight recorder.
+void MaybeLogSlowQuery(int64_t latency_ns, const ScanStats& scan,
+                       int64_t rows) {
   const int64_t threshold_ns = obs::SlowQueryThresholdNs();
   if (threshold_ns < 0 || latency_ns < threshold_ns) return;
   static obs::Counter& slow = obs::MetricsRegistry::Global().GetCounter(
       obs::kQuerySlowTotal);
   slow.Add();
   obs::EventRing::Global().Record(obs::EventKind::kSlowQuery, latency_ns,
-                                  rows, where);
-  MODELARDB_LOG(kWarn) << "slow query (" << where << "): "
-                       << (latency_ns / 1000000) << " ms, rows=" << rows
+                                  rows, "query");
+  MODELARDB_LOG(kWarn) << "slow query: " << (latency_ns / 1000000) << " ms, rows=" << rows
                        << ", segments scanned=" << scan.segments_scanned
                        << ", segments decoded=" << scan.segments_decoded
                        << ", bytes decoded=" << scan.bytes_decoded
@@ -210,34 +216,30 @@ void MaybeLogSlowQuery(const char* where, int64_t latency_ns,
                        << " ms";
 }
 
-namespace {
 
-// Appends the trace's rendered span tree to an EXPLAIN ANALYZE result.
-void AppendSpanTree(const obs::Trace* trace, QueryResult* result) {
-  if (trace == nullptr) return;
-  result->rows.push_back({Cell(std::string("span tree"))});
-  std::string rendered = obs::RenderSpanTree(trace->Spans(), "  ");
-  for (const std::string& line : SplitString(rendered, '\n')) {
-    if (!line.empty()) result->rows.push_back({Cell(line)});
-  }
-}
-
-}  // namespace
-
-void PartialResult::Merge(PartialResult&& other) {
-  for (auto& [key, states] : other.groups) {
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      groups.emplace(key, std::move(states));
-    } else {
-      for (size_t i = 0; i < states.size(); ++i) {
-        it->second[i].Merge(states[i]);
+void Fold::Merge(Fold&& other) {
+  if (groups.empty()) {
+    // The other's states move whole: the same result as emplacing them
+    // key by key.
+    groups = std::move(other.groups);
+  } else {
+    for (auto& [key, states] : other.groups) {
+      auto it = groups.lower_bound(key);
+      if (it == groups.end() || groups.key_comp()(key, it->first)) {
+        groups.emplace_hint(it, key, std::move(states));
+      } else {
+        for (size_t i = 0; i < states.size(); ++i) {
+          it->second[i].Merge(states[i]);
+        }
       }
     }
   }
-  rows.insert(rows.end(), std::make_move_iterator(other.rows.begin()),
-              std::make_move_iterator(other.rows.end()));
-  scan.Merge(other.scan);
+  if (rows.empty()) {
+    rows = std::move(other.rows);
+  } else {
+    rows.insert(rows.end(), std::make_move_iterator(other.rows.begin()),
+                std::make_move_iterator(other.rows.end()));
+  }
 }
 
 std::vector<std::string> ScanStatsLines(const ScanStats& stats) {
@@ -444,7 +446,7 @@ std::vector<Cell> QueryEngine::KeyFor(const CompiledQuery& compiled,
 BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
                                              const BlockView& view,
                                              size_t num_aggs, bool needs_sum,
-                                             PartialResult* partial) const {
+                                             Fold* fold) const {
   const SegmentBlock& block = *view.block;
   const TimeSeriesGroup& group = groups_[view.gid - 1];
   const size_t group_size = group.tids.size();
@@ -499,7 +501,7 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
       summary.min = block.mins[s.pos];
       summary.max = block.maxs[s.pos];
       summary.count = block.counts[s.pos];
-      auto& states = partial->groups[KeyFor(compiled, s.tid)];
+      auto& states = fold->groups[KeyFor(compiled, s.tid)];
       if (states.empty()) states.resize(num_aggs);
       for (auto& state : states) UpdateState(&state, summary, s.scaling);
     }
@@ -514,7 +516,7 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
   // unchanged, which matters when several positions share one key.
   std::vector<std::vector<AggState>*> states_of(selected.size());
   for (size_t k = 0; k < selected.size(); ++k) {
-    auto& states = partial->groups[KeyFor(compiled, selected[k].tid)];
+    auto& states = fold->groups[KeyFor(compiled, selected[k].tid)];
     if (states.empty()) states.resize(num_aggs);
     states_of[k] = &states;
   }
@@ -560,9 +562,10 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
   return BlockAction::kSummarized;
 }
 
-Result<PartialResult> QueryEngine::SegmentViewPartial(
-    const CompiledQuery& compiled, const SegmentSource& source) const {
-  PartialResult partial;
+Status QueryEngine::SegmentViewFold(const CompiledQuery& compiled,
+                                    const SegmentStore& store,
+                                    const SegmentFilter& filter, Fold* fold,
+                                    ScanStats* stats) const {
   const bool has_agg = compiled.ast.HasAggregates();
   size_t num_aggs = 0;
   for (const SelectItem& item : compiled.ast.select) {
@@ -578,8 +581,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
     // Rollups bucket by calendar interval inside segments, so they always
     // decode; plain aggregates answer covered blocks from summaries.
     callbacks.on_covered_block = [&](const BlockView& view) {
-      return ConsumeCoveredBlock(compiled, view, num_aggs, needs_sum,
-                                 &partial);
+      return ConsumeCoveredBlock(compiled, view, num_aggs, needs_sum, fold);
     };
   }
   callbacks.on_segment = [&](const Segment& segment,
@@ -614,7 +616,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
                                                   resolved->second));
               }
             }
-            partial.rows.push_back(std::move(row));
+            fold->rows.push_back(std::move(row));
           }
           return Status::OK();
         }
@@ -638,8 +640,8 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
               static_cast<int>(segment.Length()));
           if (!decoder_result.ok()) return decoder_result.status();
           decoder = std::move(*decoder_result);
-          ++partial.scan.segments_decoded;
-          partial.scan.bytes_decoded +=
+          ++stats->segments_decoded;
+          stats->bytes_decoded +=
               static_cast<int64_t>(segment.StorageBytes());
           return Status::OK();
         };
@@ -666,7 +668,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
                 Timestamp ts = segment.start_time + row * segment.si;
                 key.emplace_back(TimeBucket(ts, *compiled.cube_level));
               }
-              auto& states = partial.groups[key];
+              auto& states = fold->groups[key];
               if (states.empty()) states.resize(num_aggs);
               for (auto& state : states) UpdateState(&state, value);
             }
@@ -687,7 +689,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
                                                 static_cast<int>(to_row),
                                                 s.column);
             }
-            auto& states = partial.groups[base_key];
+            auto& states = fold->groups[base_key];
             if (states.empty()) states.resize(num_aggs);
             for (auto& state : states) UpdateState(&state, summary, s.scaling);
           } else {
@@ -705,7 +707,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
                   static_cast<int>(row), static_cast<int>(row2), s.column);
               std::vector<Cell> key = base_key;
               key.emplace_back(TimeBucket(ts0, level));
-              auto& states = partial.groups[key];
+              auto& states = fold->groups[key];
               if (states.empty()) states.resize(num_aggs);
               for (auto& state : states) {
                 UpdateState(&state, summary, s.scaling);
@@ -716,14 +718,13 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
         }
         return Status::OK();
   };
-  MODELARDB_RETURN_NOT_OK(
-      source.ScanIndexed(compiled.filter, callbacks, &partial.scan));
-  return partial;
+  return store.ScanIndexed(filter, callbacks, stats);
 }
 
-Result<PartialResult> QueryEngine::DataPointViewPartial(
-    const CompiledQuery& compiled, const SegmentSource& source) const {
-  PartialResult partial;
+Status QueryEngine::DataPointViewFold(const CompiledQuery& compiled,
+                                      const SegmentStore& store,
+                                      const SegmentFilter& filter,
+                                      Fold* fold, ScanStats* stats) const {
   const bool has_agg = compiled.ast.HasAggregates();
   size_t num_aggs = 0;
   for (const SelectItem& item : compiled.ast.select) {
@@ -738,7 +739,7 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
     // are order-free and match the summaries bit for bit.
     callbacks.on_covered_block = [&](const BlockView& view) {
       return ConsumeCoveredBlock(compiled, view, num_aggs,
-                                 /*needs_sum=*/false, &partial);
+                                 /*needs_sum=*/false, fold);
     };
   }
   callbacks.on_segment = [&](const Segment& segment,
@@ -762,8 +763,8 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
               static_cast<int>(segment.Length()));
           if (!decoder_result.ok()) return decoder_result.status();
           decoder = std::move(*decoder_result);
-          ++partial.scan.segments_decoded;
-          partial.scan.bytes_decoded +=
+          ++stats->segments_decoded;
+          stats->bytes_decoded +=
               static_cast<int64_t>(segment.StorageBytes());
           return Status::OK();
         };
@@ -785,7 +786,7 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
             summary.sum = seg_summary->sum(s.column);
             summary.min = seg_summary->min(s.column);
             summary.max = seg_summary->max(s.column);
-            auto& states = partial.groups[base_key];
+            auto& states = fold->groups[base_key];
             if (states.empty()) states.resize(num_aggs);
             for (auto& state : states) UpdateState(&state, summary, s.scaling);
             continue;
@@ -801,7 +802,7 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
             AggregateSummary folded = decoder->AggregateRangeScaled(
                 static_cast<int>(from_row), static_cast<int>(to_row),
                 s.column, s.scaling);
-            auto& states = partial.groups[base_key];
+            auto& states = fold->groups[base_key];
             if (states.empty()) states.resize(num_aggs);
             for (auto& state : states) {
               UpdateState(&state, folded, /*scaling=*/1.0);
@@ -819,7 +820,7 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
               continue;
             }
             if (has_agg) {
-              auto& states = partial.groups[base_key];
+              auto& states = fold->groups[base_key];
               if (states.empty()) states.resize(num_aggs);
               for (auto& state : states) UpdateState(&state, value);
             } else {
@@ -842,95 +843,105 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
                       s.tid, resolved->first, resolved->second));
                 }
               }
-              partial.rows.push_back(std::move(out_row));
+              fold->rows.push_back(std::move(out_row));
             }
           }
         }
         return Status::OK();
   };
-  MODELARDB_RETURN_NOT_OK(
-      source.ScanIndexed(compiled.filter, callbacks, &partial.scan));
-  return partial;
+  return store.ScanIndexed(filter, callbacks, stats);
 }
 
 Result<PartialResult> QueryEngine::ExecutePartial(
-    const CompiledQuery& compiled, const SegmentSource& source) const {
-  if (compiled.ast.view == View::kSegment) {
-    return SegmentViewPartial(compiled, source);
+    const CompiledQuery& compiled, const SegmentStore& store,
+    ThreadPool* pool, obs::Trace* trace, int32_t parent_span) const {
+  // One morsel per Gid, returned in ascending Gid.
+  const std::vector<Gid> gids = MorselGids(compiled, store);
+  const size_t n = gids.size();
+  // Submit heavy morsels first: weight each Gid by the summary index's
+  // surviving-segment estimate (fence-based, O(blocks)).
+  std::vector<std::pair<int64_t, size_t>> submit_order;
+  submit_order.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    submit_order.emplace_back(
+        store.EstimateSurvivingSegments(gids[i], compiled.filter), i);
   }
-  return DataPointViewPartial(compiled, source);
-}
-
-Result<PartialResult> QueryEngine::ExecutePartialParallel(
-    const CompiledQuery& compiled, const SegmentSource& source,
-    const std::vector<Gid>& morsel_gids, ThreadPool* pool,
-    obs::Trace* trace, int32_t parent_span) const {
-  if (morsel_gids.empty()) return PartialResult{};
-  // Even sequentially (null pool), execute morsel-by-morsel and merge in
-  // Gid order so aggregates sum in the same order at every pool size.
-  //
-  // Lock-free by design (outside the thread-safety analyzer's view):
-  // `partials`/`statuses` are written without a lock, but every task owns
-  // slot i exclusively and TaskGroup::Wait() is the release/acquire
-  // barrier that publishes the slots to this thread — the same disjoint
-  // slot pattern as ClusterEngine::Execute and ingest::RunPipeline.
-  const size_t n = morsel_gids.size();
-  std::vector<PartialResult> partials(n);
+  std::stable_sort(submit_order.begin(), submit_order.end(),
+                   [](const std::pair<int64_t, size_t>& a,
+                      const std::pair<int64_t, size_t>& b) {
+                     return a.first > b.first;
+                   });
+  // Lock-free by design (outside the thread-safety analyzer's view): every
+  // task owns slot i of `partial.morsels`/`stats`/`statuses` exclusively,
+  // and TaskGroup::Wait() is the release/acquire barrier that publishes
+  // the slots to this thread — the same disjoint-slot pattern as Execute
+  // and ingest::RunPipeline.
+  PartialResult partial;
+  partial.morsels.resize(n);
+  std::vector<ScanStats> stats(n);
   std::vector<Status> statuses(n);
   obs::ScopedSpan fan_out(trace, "morsel fan-out", parent_span);
   TaskGroup group(pool);
-  for (size_t i = 0; i < n; ++i) {
+  for (const auto& [weight, i] : submit_order) {
     // Per-query resource accounting: submit-to-start wait and thread CPU
-    // time of each morsel land in its partial's ScanStats (summed by the
-    // deterministic merge below into the query's totals).
+    // time of each morsel land in its ScanStats.
     const int64_t submit_ns = obs::MonotonicNanos();
-    group.Submit([this, &compiled, &source, &morsel_gids, &partials,
+    group.Submit([this, &compiled, &store, &gids, &partial, &stats,
                   &statuses, trace, fan_out_id = fan_out.id(), submit_ns,
-                  i] {
+                  i = i] {
       const int64_t start_ns = obs::MonotonicNanos();
       const int64_t cpu_begin_ns = obs::ThreadCpuNanos();
-      obs::ScopedSpan span(
-          trace, "morsel gid=" + std::to_string(morsel_gids[i]), fan_out_id);
-      GidRestrictedSource morsel(&source, morsel_gids[i]);
-      auto result = ExecutePartial(compiled, morsel);
-      if (result.ok()) {
-        partials[i] = std::move(*result);
-        partials[i].scan.queue_wait_ns = start_ns - submit_ns;
-        partials[i].scan.cpu_ns = obs::ThreadCpuNanos() - cpu_begin_ns;
-      } else {
-        statuses[i] = result.status();
-      }
+      obs::ScopedSpan span(trace, "morsel gid=" + std::to_string(gids[i]),
+                           fan_out_id);
+      // A morsel is the query's filter restricted to one Gid. It folds
+      // into task-local state, published to its slot once at the end:
+      // adjacent slots share cache lines across threads.
+      SegmentFilter filter = compiled.filter;
+      filter.gids = {gids[i]};
+      Fold fold;
+      ScanStats morsel_stats;
+      statuses[i] = compiled.ast.view == View::kSegment
+                        ? SegmentViewFold(compiled, store, filter, &fold,
+                                          &morsel_stats)
+                        : DataPointViewFold(compiled, store, filter, &fold,
+                                            &morsel_stats);
+      morsel_stats.queue_wait_ns = start_ns - submit_ns;
+      morsel_stats.cpu_ns = obs::ThreadCpuNanos() - cpu_begin_ns;
+      partial.morsels[i] = {gids[i], std::move(fold)};
+      stats[i] = morsel_stats;
     });
   }
   group.Wait();
   fan_out.End();
-  for (const Status& status : statuses) {
-    MODELARDB_RETURN_NOT_OK(status);
+  for (size_t i = 0; i < n; ++i) {
+    MODELARDB_RETURN_NOT_OK(statuses[i]);
+    partial.scan.Merge(stats[i]);
   }
-  // Merge in ascending Gid order whatever order the morsels were
-  // submitted in, so estimate-weighted scheduling cannot change results.
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return morsel_gids[a] < morsel_gids[b];
-  });
-  PartialResult merged = std::move(partials[order[0]]);
-  for (size_t i = 1; i < n; ++i) {
-    merged.Merge(std::move(partials[order[i]]));
-  }
-  return merged;
+  return partial;
 }
 
 Result<QueryResult> QueryEngine::MergeFinalize(
     const CompiledQuery& compiled, std::vector<PartialResult> partials) const {
-  PartialResult merged;
+  // The one reduction tree: every morsel fold, ascending Gid across all
+  // partials. Each partial is already ascending, so a stable sort of their
+  // concatenation breaks ties by partial order.
+  std::vector<std::pair<Gid, Fold>*> morsels;
+  ScanStats scan;
   for (PartialResult& partial : partials) {
-    merged.Merge(std::move(partial));
+    scan.Merge(partial.scan);
+    for (auto& morsel : partial.morsels) morsels.push_back(&morsel);
   }
-  if (merged.scan.segments_decoded != 0) {
+  std::stable_sort(morsels.begin(), morsels.end(),
+                   [](const std::pair<Gid, Fold>* a,
+                      const std::pair<Gid, Fold>* b) {
+                     return a->first < b->first;
+                   });
+  Fold merged;
+  for (auto* morsel : morsels) merged.Merge(std::move(morsel->second));
+  if (scan.segments_decoded != 0) {
     static obs::Counter& decoded = obs::MetricsRegistry::Global().GetCounter(
         obs::kQuerySegmentsDecodedTotal);
-    decoded.Add(merged.scan.segments_decoded);
+    decoded.Add(scan.segments_decoded);
   }
 
   QueryResult result;
@@ -1074,92 +1085,112 @@ Result<std::string> QueryEngine::Explain(const Query& ast) const {
 }
 
 Result<QueryResult> QueryEngine::Execute(const Query& ast,
-                                         const SegmentSource& source,
+                                         const Partitions& partitions,
+                                         ThreadPool* pool,
                                          obs::Trace* trace) const {
   // Introspection views are answered straight from the obs subsystem.
   if (ast.view == View::kMetrics) return MetricsTable(ast.limit);
   if (ast.view == View::kTraces) return TracesTable(ast.limit);
   if (ast.view == View::kHealth) return HealthTable(ast.limit);
+  QueryResult plan;
   if (ast.explain) {
     MODELARDB_ASSIGN_OR_RETURN(std::string text, Explain(ast));
-    QueryResult result;
-    result.columns = {"plan"};
+    plan.columns = {"plan"};
     for (const std::string& line : SplitString(text, '\n')) {
-      if (!line.empty()) result.rows.push_back({line});
+      if (!line.empty()) plan.rows.push_back({line});
     }
-    Query stripped = ast;
-    stripped.explain = false;
-    stripped.analyze = false;
+  }
+  Query stripped = ast;
+  stripped.explain = false;
+  stripped.analyze = false;
+  if (ast.explain && !ast.analyze) {
+    // Plain EXPLAIN must stay cheap on large stores: report the block
+    // fences' surviving-segment upper bound instead of executing.
     MODELARDB_ASSIGN_OR_RETURN(CompiledQuery compiled, Compile(stripped));
-    if (ast.analyze) {
-      // EXPLAIN ANALYZE runs the scan so the summary-index pruning
-      // counters reflect this query against the actual data; the stage
-      // timings are reported as a span tree.
-      std::unique_ptr<obs::Trace> local_trace;
-      if (trace == nullptr) {
-        local_trace = obs::Tracer::Global().StartForcedTrace("EXPLAIN ANALYZE");
-        trace = local_trace.get();
+    int64_t estimate = 0;
+    for (const SegmentStore* store : partitions) {
+      for (Gid gid : MorselGids(compiled, *store)) {
+        estimate += store->EstimateSurvivingSegments(gid, compiled.filter);
       }
-      obs::ScopedSpan scan_span(trace, "scan");
-      MODELARDB_ASSIGN_OR_RETURN(PartialResult partial,
-                                 ExecutePartial(compiled, source));
-      scan_span.End();
-      for (const std::string& line : ScanStatsLines(partial.scan)) {
-        result.rows.push_back({line});
-      }
-      AppendSpanTree(trace, &result);
-      if (local_trace != nullptr) {
-        obs::Tracer::Global().Finish(std::move(local_trace));
-      }
-    } else {
-      // Plain EXPLAIN must stay cheap on large stores: report the block
-      // fences' surviving-segment upper bound instead of executing.
-      int64_t estimate = 0;
-      if (compiled.filter.gids.empty()) {
-        for (size_t i = 0; i < groups_.size(); ++i) {
-          estimate += source.EstimateSurvivingSegments(
-              static_cast<Gid>(i + 1), compiled.filter);
-        }
-      } else {
-        for (Gid gid : compiled.filter.gids) {
-          estimate += source.EstimateSurvivingSegments(gid, compiled.filter);
-        }
-      }
-      result.rows.push_back(
-          {"estimated surviving segments: " + std::to_string(estimate)});
-      result.rows.push_back(
-          {"hint: EXPLAIN ANALYZE runs the scan and reports exact pruning "
-           "counters"});
     }
-    return result;
+    plan.rows.push_back(
+        {"estimated surviving segments: " + std::to_string(estimate)});
+    plan.rows.push_back(
+        {"hint: EXPLAIN ANALYZE runs the scan and reports exact pruning "
+         "counters"});
+    return plan;
+  }
+  // EXPLAIN ANALYZE runs the query's own fan-out below under a forced
+  // trace, so its counters and span tree describe the real execution.
+  std::unique_ptr<obs::Trace> forced_trace;
+  if (ast.analyze && trace == nullptr) {
+    forced_trace = obs::Tracer::Global().StartForcedTrace("EXPLAIN ANALYZE");
+    trace = forced_trace.get();
+  }
+  const bool timed = obs::Enabled();
+  const int64_t start_ns = timed ? obs::MonotonicNanos() : 0;
+  obs::ScopedSpan plan_span(trace, "plan");
+  MODELARDB_ASSIGN_OR_RETURN(CompiledQuery compiled, Compile(stripped));
+  plan_span.End();
+  // One task per partition on the pool; each fans its per-Gid morsels out
+  // onto the same pool (TaskGroup::Wait helps run them, so the nesting
+  // cannot deadlock). Lock-free by design: task i exclusively owns
+  // partials[i]/statuses[i], and TaskGroup::Wait() is the barrier that
+  // publishes the slots back to this thread.
+  std::vector<PartialResult> partials(partitions.size());
+  std::vector<Status> statuses(partitions.size());
+  obs::ScopedSpan scan_span(trace, "scan");
+  TaskGroup group(pool);
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    group.Submit([this, &compiled, &partitions, &partials, &statuses, pool,
+                  trace, scan_id = scan_span.id(), i] {
+      obs::ScopedSpan worker_span(trace, "worker " + std::to_string(i),
+                                  scan_id);
+      auto result = ExecutePartial(compiled, *partitions[i], pool, trace,
+                                   worker_span.id());
+      if (result.ok()) {
+        partials[i] = std::move(*result);
+      } else {
+        statuses[i] = result.status();
+      }
+    });
+  }
+  group.Wait();
+  scan_span.End();
+  ScanStats scan;
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    MODELARDB_RETURN_NOT_OK(statuses[i]);
+    scan.Merge(partials[i].scan);
+  }
+  obs::ScopedSpan merge_span(trace, "merge");
+  Result<QueryResult> result = MergeFinalize(compiled, std::move(partials));
+  merge_span.End();
+
+  if (ast.analyze) {
+    MODELARDB_RETURN_NOT_OK(result.status());
+    for (const std::string& line : ScanStatsLines(scan)) {
+      plan.rows.push_back({line});
+    }
+    if (trace != nullptr) {  // Null only while obs is disabled.
+      plan.rows.push_back({Cell(std::string("span tree"))});
+      std::string rendered = obs::RenderSpanTree(trace->Spans(), "  ");
+      for (const std::string& line : SplitString(rendered, '\n')) {
+        if (!line.empty()) plan.rows.push_back({Cell(line)});
+      }
+    }
+    obs::Tracer::Global().Finish(std::move(forced_trace));
+    return plan;
   }
   static obs::Counter& queries = obs::MetricsRegistry::Global().GetCounter(
       obs::kQueryQueriesTotal);
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram(obs::kQuerySeconds);
-  const bool timed = obs::Enabled();
-  const int64_t start_ns = timed ? obs::MonotonicNanos() : 0;
-
-  obs::ScopedSpan plan_span(trace, "plan");
-  MODELARDB_ASSIGN_OR_RETURN(CompiledQuery compiled, Compile(ast));
-  plan_span.End();
-  obs::ScopedSpan scan_span(trace, "scan");
-  MODELARDB_ASSIGN_OR_RETURN(PartialResult partial,
-                             ExecutePartial(compiled, source));
-  scan_span.End();
-  const ScanStats scan_stats = partial.scan;
-  std::vector<PartialResult> partials;
-  partials.push_back(std::move(partial));
-  obs::ScopedSpan merge_span(trace, "merge");
-  Result<QueryResult> result = MergeFinalize(compiled, std::move(partials));
-  merge_span.End();
-
   queries.Add();
   if (timed) {
     const int64_t latency_ns = obs::MonotonicNanos() - start_ns;
     latency.Observe(static_cast<double>(latency_ns) * 1e-9);
     if (result.ok()) {
-      MaybeLogSlowQuery("engine", latency_ns, scan_stats,
+      MaybeLogSlowQuery(latency_ns, scan,
                         static_cast<int64_t>(result->rows.size()));
     }
   }
@@ -1167,12 +1198,13 @@ Result<QueryResult> QueryEngine::Execute(const Query& ast,
 }
 
 Result<QueryResult> QueryEngine::Execute(const std::string& sql,
-                                         const SegmentSource& source) const {
+                                         const Partitions& partitions,
+                                         ThreadPool* pool) const {
   std::unique_ptr<obs::Trace> trace = obs::Tracer::Global().StartTrace(sql);
   obs::ScopedSpan parse_span(trace.get(), "parse");
   MODELARDB_ASSIGN_OR_RETURN(Query ast, ParseQuery(sql));
   parse_span.End();
-  Result<QueryResult> result = Execute(ast, source, trace.get());
+  Result<QueryResult> result = Execute(ast, partitions, pool, trace.get());
   obs::Tracer::Global().Finish(std::move(trace));
   return result;
 }

@@ -1,7 +1,7 @@
 // Query processing on models (paper §6).
 //
 // The engine implements the paper's Segment View and Data Point View over
-// a segment source. Algorithm 5 (simple aggregates) and Algorithm 6
+// segment stores. Algorithm 5 (simple aggregates) and Algorithm 6
 // (aggregates rolled up in the time dimension) are implemented as an
 // initialize / iterate / finalize pipeline over segments, with:
 //   - query rewriting from Tids and dimension members to Gids (§6.2) so
@@ -11,9 +11,14 @@
 //   - constant-time aggregation on constant/linear models via
 //     SegmentDecoder::AggregateRange.
 //
-// The pipeline is split into Compile / ExecutePartial / MergeFinalize so
-// the cluster engine can run iterate on each worker and merge at the
-// master, exactly as the paper distributes Algorithm 5/6.
+// Execute is the one query orchestration: a single node is a one-worker
+// cluster. It runs iterate on every store partition (ExecutePartial: one
+// morsel per Gid on the thread pool) and merges at the master
+// (MergeFinalize), exactly as the paper distributes Algorithm 5/6. The
+// merge folds every morsel once, in ascending Gid across all partitions,
+// so answers are byte-identical at any partition count, partition order
+// and pool size, and for callers that drive the building blocks
+// themselves.
 
 #ifndef MODELARDB_QUERY_ENGINE_H_
 #define MODELARDB_QUERY_ENGINE_H_
@@ -37,88 +42,9 @@
 namespace modelardb {
 namespace query {
 
-// Abstraction over "where segments come from": a local SegmentStore, a
-// worker's partition, or a mock in tests.
-class SegmentSource {
- public:
-  virtual ~SegmentSource() = default;
-  virtual Status ScanSegments(
-      const SegmentFilter& filter,
-      const std::function<Status(const Segment&)>& fn) const = 0;
-
-  // Summary-index-aware scan. The default adapts ScanSegments: every
-  // segment is delivered individually without summaries, so sources
-  // unaware of the index (mocks, remote stubs) keep working unchanged.
-  virtual Status ScanIndexed(const SegmentFilter& filter,
-                             const IndexedScanCallbacks& callbacks,
-                             ScanStats* stats) const {
-    return ScanSegments(filter, [&](const Segment& segment) {
-      if (stats != nullptr) ++stats->segments_scanned;
-      return callbacks.on_segment(segment, nullptr);
-    });
-  }
-
-  // Fence-based estimate of segments surviving `filter` for one group;
-  // used to weight morsel scheduling. 0 == unknown/none.
-  virtual int64_t EstimateSurvivingSegments(Gid,
-                                            const SegmentFilter&) const {
-    return 0;
-  }
-};
-
-// Adapter for SegmentStore.
-class StoreSegmentSource : public SegmentSource {
- public:
-  explicit StoreSegmentSource(const SegmentStore* store) : store_(store) {}
-  Status ScanSegments(
-      const SegmentFilter& filter,
-      const std::function<Status(const Segment&)>& fn) const override {
-    return store_->Scan(filter, fn);
-  }
-  Status ScanIndexed(const SegmentFilter& filter,
-                     const IndexedScanCallbacks& callbacks,
-                     ScanStats* stats) const override {
-    return store_->ScanIndexed(filter, callbacks, stats);
-  }
-  int64_t EstimateSurvivingSegments(
-      Gid gid, const SegmentFilter& filter) const override {
-    return store_->EstimateSurvivingSegments(gid, filter);
-  }
-
-  const SegmentStore* store() const { return store_; }
-
- private:
-  const SegmentStore* store_;
-};
-
-// Restricts a source to a single group: one morsel of a parallel scan.
-class GidRestrictedSource : public SegmentSource {
- public:
-  GidRestrictedSource(const SegmentSource* base, Gid gid)
-      : base_(base), gid_(gid) {}
-  Status ScanSegments(
-      const SegmentFilter& filter,
-      const std::function<Status(const Segment&)>& fn) const override {
-    SegmentFilter restricted = filter;
-    restricted.gids = {gid_};
-    return base_->ScanSegments(restricted, fn);
-  }
-  Status ScanIndexed(const SegmentFilter& filter,
-                     const IndexedScanCallbacks& callbacks,
-                     ScanStats* stats) const override {
-    SegmentFilter restricted = filter;
-    restricted.gids = {gid_};
-    return base_->ScanIndexed(restricted, callbacks, stats);
-  }
-  int64_t EstimateSurvivingSegments(
-      Gid gid, const SegmentFilter& filter) const override {
-    return base_->EstimateSurvivingSegments(gid, filter);
-  }
-
- private:
-  const SegmentSource* base_;
-  Gid gid_;
-};
+// The stores one query runs over, in partition order: a single node
+// passes its one store, the cluster engine its workers' stores.
+using Partitions = std::vector<const SegmentStore*>;
 
 // Group-by key parts after name resolution.
 struct KeyPart {
@@ -162,14 +88,20 @@ struct AggState {
   }
 };
 
-// A worker's partial result: either grouped aggregate states or raw rows,
-// plus the scan's summary-index pruning counters (surfaced by EXPLAIN).
-struct PartialResult {
+// One reduction over segments: grouped aggregate states or raw rows.
+struct Fold {
   std::map<std::vector<Cell>, std::vector<AggState>> groups;
   std::vector<std::vector<Cell>> rows;  // Non-aggregate queries.
-  ScanStats scan;
 
-  void Merge(PartialResult&& other);
+  void Merge(Fold&& other);
+};
+
+// A partition's partial result: one fold per Gid morsel, unmerged and in
+// ascending Gid, plus the scan's resource counters (surfaced by EXPLAIN
+// ANALYZE and the slow-query log).
+struct PartialResult {
+  std::vector<std::pair<Gid, Fold>> morsels;
+  ScanStats scan;
 };
 
 // Renders the `EXPLAIN ANALYZE` counter lines ("blocks skipped: N", ...)
@@ -177,11 +109,11 @@ struct PartialResult {
 std::vector<std::string> ScanStatsLines(const ScanStats& stats);
 
 // Slow-query log: when `latency_ns` exceeds obs::SlowQueryThresholdNs(),
-// logs a kWarn line with the query's resource breakdown (`where` names the
-// caller), bumps modelardb_query_slow_total and records a kSlowQuery
-// flight-recorder event. No-op below the threshold or when disabled.
-void MaybeLogSlowQuery(const char* where, int64_t latency_ns,
-                       const ScanStats& scan, int64_t rows);
+// logs a kWarn line with the query's resource breakdown, bumps
+// modelardb_query_slow_total and records a kSlowQuery flight-recorder
+// event. No-op below the threshold or when disabled.
+void MaybeLogSlowQuery(int64_t latency_ns, const ScanStats& scan,
+                       int64_t rows);
 
 class QueryEngine {
  public:
@@ -191,13 +123,22 @@ class QueryEngine {
               std::vector<TimeSeriesGroup> groups,
               const ModelRegistry* registry);
 
-  // Parses, compiles and runs `sql` against `source`. The string overload
-  // records a full query trace (parse → plan → scan → merge spans) into
-  // obs::Tracer::Global(); the AST overload attaches its stage spans to
-  // `trace` when one is provided (null — the default — disables tracing).
+  // Parses, compiles and runs `sql` over `partitions`, recording a full
+  // query trace (parse → plan → scan → per-worker fan-out → per-Gid
+  // morsels → merge) into obs::Tracer::Global().
   Result<QueryResult> Execute(const std::string& sql,
-                              const SegmentSource& source) const;
-  Result<QueryResult> Execute(const Query& ast, const SegmentSource& source,
+                              const Partitions& partitions,
+                              ThreadPool* pool = nullptr) const;
+  // Runs `ast` over `partitions`: one task per partition on `pool` (inline
+  // when null), each running ExecutePartial on the same pool, then
+  // MergeFinalize. Counts into the modelardb_query_* metrics and the
+  // slow-query log. Also answers the introspection views, plain EXPLAIN
+  // (the fence estimate summed over the partitions, without executing)
+  // and EXPLAIN ANALYZE (this same fan-out under a forced trace, reported
+  // as exact counters plus the span tree). Stage spans attach to `trace`
+  // when one is given (null disables tracing).
+  Result<QueryResult> Execute(const Query& ast, const Partitions& partitions,
+                              ThreadPool* pool = nullptr,
                               obs::Trace* trace = nullptr) const;
 
   // Renders the compiled plan of `ast`: view, push-down predicates (Gids,
@@ -207,23 +148,23 @@ class QueryEngine {
 
   // Distributed building blocks.
   Result<CompiledQuery> Compile(const Query& ast) const;
+  // Iterate over one partition: one morsel per Gid of the filter (every
+  // Gid of `store` when the filter names none), each an independent task
+  // on `pool` (inline when null). Morsels are submitted heaviest first by
+  // the summary index's surviving-segment estimate, so large groups start
+  // early and the pool's tail stays short; their folds come back unmerged
+  // in ascending Gid, so scheduling cannot change results. When `trace`
+  // is non-null a "morsel fan-out" span (parented to `parent_span`) wraps
+  // the scan and each morsel records a "morsel gid=N" child span.
   Result<PartialResult> ExecutePartial(const CompiledQuery& compiled,
-                                       const SegmentSource& source) const;
-  // Morsel-driven ExecutePartial: splits the scan into per-Gid morsels
-  // (`morsel_gids` — submitted in the given order, so callers may front-
-  // load heavy groups using index estimates), runs each as an independent
-  // task on `pool` (inline when `pool` is null) into a task-local
-  // PartialResult, and merges the partials in ascending Gid order
-  // regardless of submission order. The merge order is deterministic, so
-  // the result — including the floating-point reduction tree — is
-  // byte-identical for every pool size and every submission order.
-  // When `trace` is non-null a "morsel fan-out" span (parented to
-  // `parent_span`) wraps the scan and each morsel records its own
-  // "morsel gid=N" child span with per-morsel wall + CPU timings.
-  Result<PartialResult> ExecutePartialParallel(
-      const CompiledQuery& compiled, const SegmentSource& source,
-      const std::vector<Gid>& morsel_gids, ThreadPool* pool,
-      obs::Trace* trace = nullptr, int32_t parent_span = 0) const;
+                                       const SegmentStore& store,
+                                       ThreadPool* pool = nullptr,
+                                       obs::Trace* trace = nullptr,
+                                       int32_t parent_span = 0) const;
+  // Merges the morsel folds of all `partials` once, in ascending Gid
+  // (ties in partial order), and finalizes. The one reduction tree makes
+  // the answer independent of how Gids are spread across partials and of
+  // the order the partials are passed in.
   Result<QueryResult> MergeFinalize(const CompiledQuery& compiled,
                                     std::vector<PartialResult> partials) const;
 
@@ -236,10 +177,16 @@ class QueryEngine {
   Result<std::pair<int, int>> ResolveDimensionColumn(
       const std::string& name) const;
 
-  Result<PartialResult> SegmentViewPartial(const CompiledQuery& compiled,
-                                           const SegmentSource& source) const;
-  Result<PartialResult> DataPointViewPartial(const CompiledQuery& compiled,
-                                             const SegmentSource& source) const;
+  // Folds the segments of `store` matching `filter` (one morsel) into
+  // `fold`, accounting the scan in `stats`.
+  Status SegmentViewFold(const CompiledQuery& compiled,
+                         const SegmentStore& store,
+                         const SegmentFilter& filter, Fold* fold,
+                         ScanStats* stats) const;
+  Status DataPointViewFold(const CompiledQuery& compiled,
+                           const SegmentStore& store,
+                           const SegmentFilter& filter, Fold* fold,
+                           ScanStats* stats) const;
 
   // Positions (and Tids) of a segment's represented, selected series.
   struct SelectedSeries {
@@ -262,8 +209,7 @@ class QueryEngine {
   // the exhaustive path decides per segment.
   BlockAction ConsumeCoveredBlock(const CompiledQuery& compiled,
                                   const BlockView& view, size_t num_aggs,
-                                  bool needs_sum,
-                                  PartialResult* partial) const;
+                                  bool needs_sum, Fold* fold) const;
 
   const TimeSeriesCatalog* catalog_;
   std::vector<TimeSeriesGroup> groups_;     // Indexed gid-1.

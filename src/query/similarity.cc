@@ -27,7 +27,7 @@ double IntervalGap(double a_lo, double a_hi, double b_lo, double b_hi) {
 }  // namespace
 
 Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
-    const SegmentSource& source, Tid tid, const std::vector<Value>& pattern,
+    const SegmentStore& store, Tid tid, const std::vector<Value>& pattern,
     int k, SimilarityStats* stats) const {
   if (pattern.empty()) {
     return Status::InvalidArgument("pattern must not be empty");
@@ -48,7 +48,7 @@ Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
   std::vector<Segment> segments;
   SegmentFilter filter;
   filter.gids = {gid};
-  MODELARDB_RETURN_NOT_OK(source.ScanSegments(
+  MODELARDB_RETURN_NOT_OK(store.Scan(
       filter, [&](const Segment& segment) {
         if (!segment.SeriesInGap(position)) segments.push_back(segment);
         return Status::OK();
@@ -191,12 +191,12 @@ Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
 }
 
 Result<std::vector<SimilarityMatch>> SimilaritySearch::TopKAll(
-    const SegmentSource& source, const std::vector<Value>& pattern, int k,
+    const SegmentStore& store, const std::vector<Value>& pattern, int k,
     SimilarityStats* stats) const {
   std::vector<SimilarityMatch> all;
   for (Tid tid = 1; tid <= catalog_->NumSeries(); ++tid) {
     MODELARDB_ASSIGN_OR_RETURN(std::vector<SimilarityMatch> matches,
-                               TopK(source, tid, pattern, k, stats));
+                               TopK(store, tid, pattern, k, stats));
     all.insert(all.end(), matches.begin(), matches.end());
   }
   std::sort(all.begin(), all.end(),

@@ -45,13 +45,13 @@ class SimilaritySearch {
   // Top-k most similar windows of series `tid` to `pattern`. Matches are
   // sorted by ascending distance; ties broken by start time.
   Result<std::vector<SimilarityMatch>> TopK(
-      const SegmentSource& source, Tid tid,
+      const SegmentStore& store, Tid tid,
       const std::vector<Value>& pattern, int k,
       SimilarityStats* stats = nullptr) const;
 
   // Top-k across every series.
   Result<std::vector<SimilarityMatch>> TopKAll(
-      const SegmentSource& source, const std::vector<Value>& pattern, int k,
+      const SegmentStore& store, const std::vector<Value>& pattern, int k,
       SimilarityStats* stats = nullptr) const;
 
  private:

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "ingest/pipeline.h"
@@ -13,6 +16,28 @@ namespace cluster {
 namespace {
 
 using workload::SyntheticDataset;
+
+// A result as text, doubles as their exact bit patterns in hex, so two
+// answers compare equal only when they are byte-identical.
+std::string Bits(const query::QueryResult& result) {
+  std::string out;
+  for (const auto& row : result.rows) {
+    for (const query::Cell& cell : row) {
+      if (const double* value = std::get_if<double>(&cell)) {
+        uint64_t bits;
+        std::memcpy(&bits, value, sizeof(bits));
+        char hex[24];
+        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, bits);
+        out += hex;
+      } else {
+        out += query::CellToString(cell);
+      }
+      out += ' ';
+    }
+    out += '\n';
+  }
+  return out;
+}
 
 TEST(ClusterAssignmentTest, GroupsBalanceAcrossWorkers) {
   SyntheticDataset dataset = SyntheticDataset::Ep(8, 100);
@@ -100,10 +125,65 @@ TEST(ClusterIngestTest, ParallelAndSequentialQueriesAgree) {
   auto sequential =
       *cluster->query_engine().MergeFinalize(compiled, std::move(partials));
   ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
-  for (size_t i = 0; i < parallel.rows.size(); ++i) {
-    for (size_t c = 0; c < parallel.rows[i].size(); ++c) {
-      EXPECT_EQ(query::CellToString(parallel.rows[i][c]),
-                query::CellToString(sequential.rows[i][c]));
+  EXPECT_EQ(Bits(parallel), Bits(sequential));
+}
+
+// One merge order: the global aggregates are byte-identical whether they
+// come from a single-partition QueryEngine::Execute, a cluster of 1 or 3
+// workers at parallelism 1 or 2, or per-worker partials merged by the
+// caller in reverse worker order. Global keys collect every group, so the
+// floating-point reduction tree spans all partitions.
+TEST(ClusterBitIdentityTest, GlobalAggregatesIdenticalAcrossPartitionings) {
+  SyntheticDataset dataset = SyntheticDataset::Ep(6, 4000);
+  auto groups = *Partitioner::Partition(dataset.catalog(),
+                                        dataset.BestHints());
+  ASSERT_GT(groups.size(), 3u);
+  ModelRegistry registry = ModelRegistry::Default();
+  const std::vector<std::string> queries = {
+      "SELECT SUM_S(*) FROM Segment", "SELECT AVG_S(*) FROM Segment",
+      "SELECT CUBE_SUM_MONTH(*) FROM Segment"};
+
+  std::vector<std::string> reference;
+  for (int num_workers : {1, 3}) {
+    for (int parallelism : {1, 2}) {
+      ClusterConfig config;
+      config.num_workers = num_workers;
+      config.parallelism = parallelism;
+      config.error_bound = ErrorBound::Relative(1.0);
+      auto cluster = *ClusterEngine::Create(dataset.catalog(), groups,
+                                            &registry, config);
+      ASSERT_TRUE(ingest::RunPipeline(cluster.get(),
+                                      dataset.MakeSources(groups), {})
+                      .ok());
+      const std::string where = "workers=" + std::to_string(num_workers) +
+                                " parallelism=" +
+                                std::to_string(parallelism);
+      if (reference.empty()) {
+        // The single-node form: one partition, no pool.
+        for (const std::string& sql : queries) {
+          auto single = cluster->query_engine().Execute(
+              sql, {cluster->worker(0)->store()});
+          ASSERT_TRUE(single.ok()) << sql << ": " << single.status();
+          reference.push_back(Bits(*single));
+        }
+      }
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto result = cluster->Execute(queries[q]);
+        ASSERT_TRUE(result.ok()) << queries[q] << ": " << result.status();
+        EXPECT_EQ(Bits(*result), reference[q]) << queries[q] << " " << where;
+
+        auto compiled = *cluster->query_engine().Compile(
+            *query::ParseQuery(queries[q]));
+        std::vector<query::PartialResult> partials;
+        for (int w = cluster->num_workers() - 1; w >= 0; --w) {
+          partials.push_back(*cluster->ExecuteOnWorker(compiled, w));
+        }
+        auto merged = cluster->query_engine().MergeFinalize(
+            compiled, std::move(partials));
+        ASSERT_TRUE(merged.ok()) << merged.status();
+        EXPECT_EQ(Bits(*merged), reference[q])
+            << queries[q] << " reversed partials " << where;
+      }
     }
   }
 }

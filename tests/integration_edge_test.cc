@@ -44,7 +44,6 @@ TEST(SimilarityGapTest, MatchesNeverSpanGaps) {
   ASSERT_TRUE(store->PutBatch(segments).ok());
 
   query::QueryEngine engine(&catalog, groups, &registry);
-  query::StoreSegmentSource source(store.get());
   query::SimilaritySearch search(&engine, &registry, &catalog);
 
   // A pattern taken from rows 495..524 of the *signal* does not exist in
@@ -52,7 +51,7 @@ TEST(SimilarityGapTest, MatchesNeverSpanGaps) {
   // imperfect and must start where a full window fits inside one run.
   std::vector<Value> pattern;
   for (int i = 495; i < 525; ++i) pattern.push_back(value_at(i));
-  auto matches = *search.TopK(source, 1, pattern, 1);
+  auto matches = *search.TopK(*store, 1, pattern, 1);
   ASSERT_EQ(matches.size(), 1u);
   // value_at is periodic with period 37, so an exact copy of the pattern
   // exists elsewhere (495-37k); the search must find one entirely inside

@@ -164,7 +164,7 @@ TEST_F(ObsConcurrencyTest, TracerSpansFromManyThreads) {
 
 TEST_F(ObsConcurrencyTest, EnableToggleDuringWrites) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter& counter = registry.GetCounter(kClusterQueriesTotal);
+  Counter& counter = registry.GetCounter(kQueryQueriesTotal);
   std::atomic<bool> stop{false};
   std::thread toggler([&] {
     while (!stop.load()) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -78,10 +79,10 @@ TEST_F(ObsSqlTest, MetricsReturnsLiveCountersAfterWorkload) {
             report_.data_points);
   ASSERT_TRUE(metrics.count(obs::kStorePutTotal));
   EXPECT_GT(std::get<int64_t>(metrics[obs::kStorePutTotal]), 0);
-  ASSERT_TRUE(metrics.count(obs::kClusterQueriesTotal));
-  EXPECT_GE(std::get<int64_t>(metrics[obs::kClusterQueriesTotal]), 1);
+  ASSERT_TRUE(metrics.count(obs::kQueryQueriesTotal));
+  EXPECT_GE(std::get<int64_t>(metrics[obs::kQueryQueriesTotal]), 1);
   // Histograms surface as _count / _sum rows.
-  const std::string count_row = std::string(obs::kClusterSeconds) + "_count";
+  const std::string count_row = std::string(obs::kQuerySeconds) + "_count";
   ASSERT_TRUE(metrics.count(count_row));
   EXPECT_GE(std::get<int64_t>(metrics[count_row]), 1);
   // Per-model gauges carry the ingest breakdown.
@@ -99,10 +100,10 @@ TEST_F(ObsSqlTest, MetricsQueryCountsGrowAcrossQueries) {
   ASSERT_TRUE(cluster_->Execute("SELECT COUNT_S(*) FROM Segment").ok());
   auto before = MetricsByName();
   const int64_t count =
-      std::get<int64_t>(before[obs::kClusterQueriesTotal]);
+      std::get<int64_t>(before[obs::kQueryQueriesTotal]);
   ASSERT_TRUE(cluster_->Execute("SELECT COUNT_S(*) FROM Segment").ok());
   auto after = MetricsByName();
-  EXPECT_GE(std::get<int64_t>(after[obs::kClusterQueriesTotal]), count + 1);
+  EXPECT_GE(std::get<int64_t>(after[obs::kQueryQueriesTotal]), count + 1);
 }
 
 TEST_F(ObsSqlTest, MetricsHonoursLimit) {
@@ -223,8 +224,8 @@ TEST_F(ObsSqlTest, HealthHonoursLimitAndRejectsFilters) {
 }
 
 TEST_F(ObsSqlTest, ExplainAnalyzeReportsResourceAccounting) {
-  auto result =
-      *cluster_->Execute("EXPLAIN ANALYZE SELECT SUM_S(*) FROM Segment");
+  const std::string sql = "EXPLAIN ANALYZE SELECT SUM_S(*) FROM Segment";
+  auto result = *cluster_->Execute(sql);
   std::map<std::string, bool> saw;
   for (const auto& row : result.rows) {
     const std::string& line = std::get<std::string>(row[0]);
@@ -237,6 +238,60 @@ TEST_F(ObsSqlTest, ExplainAnalyzeReportsResourceAccounting) {
                            "morsel cpu ms:", "queue wait ms:"}) {
     EXPECT_TRUE(saw[stat]) << stat;
   }
+
+  // EXPLAIN ANALYZE runs what it explains: its counter lines equal the
+  // summed ScanStats of the same query's per-worker partials (the timing
+  // lines aside, which differ from run to run).
+  auto ast = *query::ParseQuery("SELECT SUM_S(*) FROM Segment");
+  auto compiled = *cluster_->query_engine().Compile(ast);
+  ScanStats summed;
+  for (int w = 0; w < cluster_->num_workers(); ++w) {
+    summed.Merge(cluster_->ExecuteOnWorker(compiled, w)->scan);
+  }
+  std::set<std::string> lines;
+  for (const auto& row : result.rows) {
+    lines.insert(std::get<std::string>(row[0]));
+  }
+  for (const std::string& line : query::ScanStatsLines(summed)) {
+    if (line.rfind("morsel cpu ms:", 0) == 0 ||
+        line.rfind("queue wait ms:", 0) == 0) {
+      continue;
+    }
+    EXPECT_TRUE(lines.count(line)) << line;
+  }
+
+  // Its span tree is the pooled fan-out of a query: every "morsel gid="
+  // span hangs off a "morsel fan-out" span under a per-worker span, and
+  // both workers appear.
+  auto traces = *cluster_->Execute("SELECT * FROM TRACES()");
+  int64_t trace_id = -1;
+  std::map<int64_t, std::pair<std::string, int64_t>> spans;  // id → name.
+  for (const auto& row : traces.rows) {  // Newest trace first.
+    const std::string& label = std::get<std::string>(row[1]);
+    if (trace_id < 0 && (label == sql || label == "EXPLAIN ANALYZE")) {
+      trace_id = std::get<int64_t>(row[0]);
+    }
+    if (std::get<int64_t>(row[0]) == trace_id) {
+      spans[std::get<int64_t>(row[2])] = {std::get<std::string>(row[4]),
+                                          std::get<int64_t>(row[3])};
+    }
+  }
+  ASSERT_GE(trace_id, 0);
+  std::set<std::string> workers_seen;
+  int morsels = 0;
+  for (const auto& [id, span] : spans) {
+    if (span.first.rfind("morsel gid=", 0) != 0) continue;
+    ++morsels;
+    ASSERT_TRUE(spans.count(span.second));
+    const auto& fan_out = spans[span.second];
+    EXPECT_EQ(fan_out.first, "morsel fan-out");
+    ASSERT_TRUE(spans.count(fan_out.second));
+    const std::string& worker = spans[fan_out.second].first;
+    EXPECT_EQ(worker.rfind("worker ", 0), 0u) << worker;
+    workers_seen.insert(worker);
+  }
+  EXPECT_EQ(morsels, static_cast<int>(groups_.size()));
+  EXPECT_EQ(workers_seen.size(), 2u);
 }
 
 TEST_F(ObsSqlTest, SlowQueryLogCountsAndRecordsOverThreshold) {
@@ -248,12 +303,12 @@ TEST_F(ObsSqlTest, SlowQueryLogCountsAndRecordsOverThreshold) {
   stats.segments_scanned = 4;
 
   obs::SetSlowQueryThresholdMs(-1);  // Disabled: nothing fires.
-  query::MaybeLogSlowQuery("engine", 10'000'000'000, stats, 10);
+  query::MaybeLogSlowQuery(10'000'000'000, stats, 10);
   EXPECT_EQ(slow.Value(), before);
 
   obs::SetSlowQueryThresholdMs(5);  // A 10 ms query is now slow.
-  query::MaybeLogSlowQuery("engine", 10'000'000, stats, 10);
-  query::MaybeLogSlowQuery("engine", 1'000'000, stats, 10);  // Fast: no.
+  query::MaybeLogSlowQuery(10'000'000, stats, 10);
+  query::MaybeLogSlowQuery(1'000'000, stats, 10);  // Fast: no.
   EXPECT_EQ(slow.Value(), before + 1);
   bool saw_event = false;
   for (const obs::EventRecord& record :
@@ -262,7 +317,7 @@ TEST_F(ObsSqlTest, SlowQueryLogCountsAndRecordsOverThreshold) {
       saw_event = true;
       EXPECT_EQ(record.a, 10'000'000);  // Latency ns.
       EXPECT_EQ(record.b, 10);          // Rows.
-      EXPECT_STREQ(record.detail, "engine");
+      EXPECT_STREQ(record.detail, "query");
     }
   }
   EXPECT_TRUE(saw_event);

@@ -78,7 +78,6 @@ class QueryEngineTest : public ::testing::Test {
 
     engine_ = std::make_unique<QueryEngine>(catalog_.get(), groups_,
                                             &registry_);
-    source_ = std::make_unique<StoreSegmentSource>(store_.get());
   }
 
   // Piecewise pattern exercising PMC (constant), Swing (linear), Gorilla.
@@ -95,7 +94,7 @@ class QueryEngineTest : public ::testing::Test {
   }
 
   QueryResult Run(const std::string& sql) {
-    auto result = engine_->Execute(sql, *source_);
+    auto result = engine_->Execute(sql, {store_.get()});
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? *result : QueryResult{};
   }
@@ -126,7 +125,6 @@ class QueryEngineTest : public ::testing::Test {
   ModelRegistry registry_;
   std::unique_ptr<SegmentStore> store_;
   std::unique_ptr<QueryEngine> engine_;
-  std::unique_ptr<StoreSegmentSource> source_;
   std::map<Tid, std::map<Timestamp, float>> truth_;
 };
 
@@ -334,14 +332,16 @@ TEST_F(QueryEngineTest, EmptySelectionYieldsZeroCounts) {
 
 TEST_F(QueryEngineTest, UnknownColumnAndTidErrors) {
   EXPECT_FALSE(engine_->Execute("SELECT SUM_S(*) FROM Segment WHERE "
-                                "Altitude = 'High'", *source_).ok());
+                                "Altitude = 'High'", {store_.get()}).ok());
   EXPECT_FALSE(engine_->Execute("SELECT SUM_S(*) FROM Segment WHERE Tid = 99",
-                                *source_).ok());
+                                {store_.get()}).ok());
 }
 
 TEST_F(QueryEngineTest, PartialMergeEqualsSingleExecution) {
-  // Split the store's groups across two sources and verify the distributed
-  // path (ExecutePartial per worker + MergeFinalize) matches Execute.
+  // Split the store's groups across two stores and verify the distributed
+  // path (ExecutePartial per worker + MergeFinalize, in either worker
+  // order) and a two-partition Execute match the single-store Execute bit
+  // for bit.
   auto store1 = *SegmentStore::Open(SegmentStoreOptions{});
   auto store2 = *SegmentStore::Open(SegmentStoreOptions{});
   SegmentFilter all;
@@ -354,21 +354,23 @@ TEST_F(QueryEngineTest, PartialMergeEqualsSingleExecution) {
   auto ast = *ParseQuery("SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment "
                          "GROUP BY Tid");
   auto compiled = *engine_->Compile(ast);
-  StoreSegmentSource source1(store1.get());
-  StoreSegmentSource source2(store2.get());
-  std::vector<PartialResult> partials;
-  partials.push_back(*engine_->ExecutePartial(compiled, source1));
-  partials.push_back(*engine_->ExecutePartial(compiled, source2));
-  QueryResult merged = *engine_->MergeFinalize(compiled, std::move(partials));
   QueryResult single = Run("SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment "
                            "GROUP BY Tid");
-  ASSERT_EQ(merged.rows.size(), single.rows.size());
-  for (size_t i = 0; i < merged.rows.size(); ++i) {
-    EXPECT_EQ(std::get<int64_t>(merged.rows[i][0]),
-              std::get<int64_t>(single.rows[i][0]));
-    EXPECT_NEAR(std::get<double>(merged.rows[i][1]),
-                std::get<double>(single.rows[i][1]), 1e-6);
+  ASSERT_EQ(single.rows.size(), 4u);
+  for (bool reversed : {false, true}) {
+    std::vector<PartialResult> partials;
+    partials.push_back(*engine_->ExecutePartial(compiled, *store1));
+    partials.push_back(*engine_->ExecutePartial(compiled, *store2));
+    if (reversed) std::swap(partials[0], partials[1]);
+    QueryResult merged =
+        *engine_->MergeFinalize(compiled, std::move(partials));
+    // Cell equality compares doubles exactly.
+    EXPECT_EQ(merged.rows, single.rows) << "reversed=" << reversed;
   }
+  QueryResult partitioned = *engine_->Execute(
+      "SELECT Tid, SUM_S(*), AVG_S(*) FROM Segment GROUP BY Tid",
+      {store1.get(), store2.get()});
+  EXPECT_EQ(partitioned.rows, single.rows);
 }
 
 // Figure 11: a linear model representing a group of three series; SUM_S is
@@ -404,10 +406,9 @@ TEST(QueryFigure11Test, SumOnLinearModelWithScaling) {
   auto store = *SegmentStore::Open(SegmentStoreOptions{});
   ASSERT_TRUE(store->Put(segment).ok());
   QueryEngine engine(&catalog, groups, &registry);
-  StoreSegmentSource source(store.get());
   auto result = *engine.Execute(
       "SELECT Tid, SUM_S(*) FROM Segment WHERE Tid IN (1, 2, 3) GROUP BY Tid "
-      "ORDER BY Tid", source);
+      "ORDER BY Tid", {store.get()});
   ASSERT_EQ(result.rows.size(), 3u);
   // The paper's finalize: 2996.9 for scaling 1, divided by 5 and 7.
   EXPECT_NEAR(std::get<double>(result.rows[0][1]), 2996.9 / 5.0, 0.05);

@@ -74,10 +74,9 @@ TEST_F(ExplainTest, NonAggregateShowsReconstruction) {
 
 TEST_F(ExplainTest, ExplainSqlReturnsPlanRows) {
   auto store = *SegmentStore::Open(SegmentStoreOptions{});
-  StoreSegmentSource source(store.get());
   auto result = engine_->Execute(
       "EXPLAIN SELECT Tid, SUM_S(*) FROM Segment WHERE Tid = 1 GROUP BY Tid",
-      source);
+      {store.get()});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->columns, (std::vector<std::string>{"plan"}));
   ASSERT_GT(result->rows.size(), 2u);

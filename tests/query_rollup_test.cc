@@ -50,7 +50,6 @@ class RollupTest : public ::testing::Test {
     ASSERT_TRUE(store_->PutBatch(segments).ok());
     engine_ = std::make_unique<QueryEngine>(catalog_.get(), groups_,
                                             &registry_);
-    source_ = std::make_unique<StoreSegmentSource>(store_.get());
   }
 
   // Ground truth: per-bucket sums of the row-index values.
@@ -65,7 +64,7 @@ class RollupTest : public ::testing::Test {
 
   void CheckCube(const std::string& fn, TimeLevel level) {
     auto result = engine_->Execute(
-        "SELECT " + fn + "(*) FROM Segment WHERE Tid = 1", *source_);
+        "SELECT " + fn + "(*) FROM Segment WHERE Tid = 1", {store_.get()});
     ASSERT_TRUE(result.ok()) << result.status();
     std::map<int64_t, double> expected = Bucketize(level);
     ASSERT_EQ(result->rows.size(), expected.size());
@@ -86,7 +85,6 @@ class RollupTest : public ::testing::Test {
   ModelRegistry registry_;
   std::unique_ptr<SegmentStore> store_;
   std::unique_ptr<QueryEngine> engine_;
-  std::unique_ptr<StoreSegmentSource> source_;
 };
 
 TEST_F(RollupTest, HourBucketsMidStart) {
@@ -121,7 +119,7 @@ TEST_F(RollupTest, AvgAndCountAgreeWithSum) {
   auto result = engine_->Execute(
       "SELECT CUBE_SUM_HOUR(*), CUBE_COUNT_HOUR(*), CUBE_AVG_HOUR(*) "
       "FROM Segment WHERE Tid = 1",
-      *source_);
+      {store_.get()});
   ASSERT_TRUE(result.ok());
   for (const auto& row : result->rows) {
     double sum = std::get<double>(row[1]);
@@ -138,7 +136,7 @@ TEST_F(RollupTest, CubeRespectsTimeRangePredicate) {
   auto result = engine_->Execute(
       "SELECT CUBE_COUNT_HOUR(*) FROM Segment WHERE Tid = 1 AND TS >= " +
           std::to_string(lo) + " AND TS <= " + std::to_string(hi),
-      *source_);
+      {store_.get()});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 2u);  // Exactly hours 8 and 9.
   for (const auto& row : result->rows) {
@@ -149,7 +147,7 @@ TEST_F(RollupTest, CubeRespectsTimeRangePredicate) {
 TEST_F(RollupTest, MixedCubeLevelsRejected) {
   Build(FromCivil({2016, 4, 12, 6, 0, 0, 0}), 60 * 1000, 10);
   auto result = engine_->Execute(
-      "SELECT CUBE_SUM_HOUR(*), CUBE_SUM_DAY(*) FROM Segment", *source_);
+      "SELECT CUBE_SUM_HOUR(*), CUBE_SUM_DAY(*) FROM Segment", {store_.get()});
   EXPECT_FALSE(result.ok());
 }
 

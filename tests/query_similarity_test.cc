@@ -53,7 +53,6 @@ class SimilarityTest : public ::testing::Test {
     }
     engine_ = std::make_unique<QueryEngine>(catalog_.get(), groups_,
                                             &registry_);
-    source_ = std::make_unique<StoreSegmentSource>(store_.get());
     search_ = std::make_unique<SimilaritySearch>(engine_.get(), &registry_,
                                                  catalog_.get());
   }
@@ -73,14 +72,13 @@ class SimilarityTest : public ::testing::Test {
   ModelRegistry registry_;
   std::unique_ptr<SegmentStore> store_;
   std::unique_ptr<QueryEngine> engine_;
-  std::unique_ptr<StoreSegmentSource> source_;
   std::unique_ptr<SimilaritySearch> search_;
   std::vector<Value> raw_[2];
 };
 
 TEST_F(SimilarityTest, FindsEmbeddedPatternExactly) {
   std::vector<Value> pattern(std::begin(kPattern), std::end(kPattern));
-  auto matches = *search_->TopK(*source_, 1, pattern, 1);
+  auto matches = *search_->TopK(*store_, 1, pattern, 1);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].start_time, 700 * kSi);
   EXPECT_NEAR(matches[0].distance, 0.0, 1e-4);
@@ -91,7 +89,7 @@ TEST_F(SimilarityTest, StatisticsPruneFarWindows) {
   // almost every window is pruned without decoding.
   std::vector<Value> pattern(std::begin(kPattern), std::end(kPattern));
   SimilarityStats stats;
-  auto matches = *search_->TopK(*source_, 1, pattern, 1, &stats);
+  auto matches = *search_->TopK(*store_, 1, pattern, 1, &stats);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_GT(stats.windows_pruned, 0);
   EXPECT_GT(stats.windows_considered, stats.windows_pruned);
@@ -105,7 +103,7 @@ TEST_F(SimilarityTest, MatchesBruteForce) {
     pattern.push_back(static_cast<Value>(20 + rng.Uniform(-3, 3)));
   }
   const int k = 5;
-  auto matches = *search_->TopK(*source_, 1, pattern, k);
+  auto matches = *search_->TopK(*store_, 1, pattern, k);
 
   std::vector<std::pair<double, int>> brute;
   for (size_t t = 0; t + pattern.size() <= raw_[0].size(); ++t) {
@@ -127,7 +125,7 @@ TEST_F(SimilarityTest, ScalingIsDescaledBeforeMatching) {
   // Series 2 is stored with scaling 2 but searched in raw units.
   std::vector<Value> pattern;
   for (int i = 400; i < 410; ++i) pattern.push_back(RawValue(2, i));
-  auto matches = *search_->TopK(*source_, 2, pattern, 1);
+  auto matches = *search_->TopK(*store_, 2, pattern, 1);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_NEAR(matches[0].distance, 0.0, 1e-3);
   EXPECT_EQ(matches[0].start_time, 400 * kSi);
@@ -135,21 +133,21 @@ TEST_F(SimilarityTest, ScalingIsDescaledBeforeMatching) {
 
 TEST_F(SimilarityTest, TopKAllSearchesEverySeries) {
   std::vector<Value> pattern(std::begin(kPattern), std::end(kPattern));
-  auto matches = *search_->TopKAll(*source_, pattern, 3);
+  auto matches = *search_->TopKAll(*store_, pattern, 3);
   ASSERT_EQ(matches.size(), 3u);
   EXPECT_EQ(matches[0].tid, 1);  // The spike lives in series 1.
   EXPECT_NEAR(matches[0].distance, 0.0, 1e-4);
 }
 
 TEST_F(SimilarityTest, InvalidArguments) {
-  EXPECT_FALSE(search_->TopK(*source_, 1, {}, 1).ok());
-  EXPECT_FALSE(search_->TopK(*source_, 1, {1.0f}, 0).ok());
-  EXPECT_FALSE(search_->TopK(*source_, 99, {1.0f}, 1).ok());
+  EXPECT_FALSE(search_->TopK(*store_, 1, {}, 1).ok());
+  EXPECT_FALSE(search_->TopK(*store_, 1, {1.0f}, 0).ok());
+  EXPECT_FALSE(search_->TopK(*store_, 99, {1.0f}, 1).ok());
 }
 
 TEST_F(SimilarityTest, PatternLongerThanDataYieldsNothing) {
   std::vector<Value> pattern(5000, 1.0f);
-  auto matches = *search_->TopK(*source_, 1, pattern, 3);
+  auto matches = *search_->TopK(*store_, 1, pattern, 3);
   EXPECT_TRUE(matches.empty());
 }
 

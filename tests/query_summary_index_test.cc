@@ -121,8 +121,7 @@ class SummaryIndexPropertyTest : public ::testing::Test {
   void ExpectIdenticalAcrossStores(const std::string& sql) {
     std::vector<QueryResult> results;
     for (const auto& store : stores_) {
-      StoreSegmentSource source(store.get());
-      auto result = engine_->Execute(sql, source);
+      auto result = engine_->Execute(sql, {store.get()});
       ASSERT_TRUE(result.ok()) << sql << ": " << result.status();
       results.push_back(std::move(*result));
     }
@@ -142,8 +141,7 @@ class SummaryIndexPropertyTest : public ::testing::Test {
     EXPECT_TRUE(ast.ok());
     auto compiled = engine_->Compile(*ast);
     EXPECT_TRUE(compiled.ok());
-    StoreSegmentSource source(stores_[store_index].get());
-    auto partial = engine_->ExecutePartial(*compiled, source);
+    auto partial = engine_->ExecutePartial(*compiled, *stores_[store_index]);
     EXPECT_TRUE(partial.ok());
     return partial.ok() ? partial->scan : ScanStats{};
   }
@@ -260,9 +258,8 @@ TEST_F(SummaryIndexPropertyTest, CountOnlyDataPointSkipsDecoding) {
 }
 
 TEST_F(SummaryIndexPropertyTest, ExplainAnalyzeReportsPruningCounters) {
-  StoreSegmentSource source(stores_[3].get());
   auto result = engine_->Execute("EXPLAIN ANALYZE SELECT SUM_S(*) FROM Segment",
-                                 source);
+                                 {stores_[3].get()});
   ASSERT_TRUE(result.ok()) << result.status();
   std::map<std::string, int64_t> counters;
   for (const auto& row : result->rows) {
@@ -287,9 +284,8 @@ TEST_F(SummaryIndexPropertyTest, ExplainAnalyzeReportsPruningCounters) {
 TEST_F(SummaryIndexPropertyTest, PlainExplainEstimatesWithoutExecuting) {
   // Plain EXPLAIN must not run the scan: no pruning counters, only the
   // fence-based surviving-segment upper bound (whole range == everything).
-  StoreSegmentSource source(stores_[3].get());
-  auto result =
-      engine_->Execute("EXPLAIN SELECT SUM_S(*) FROM Segment", source);
+  auto result = engine_->Execute("EXPLAIN SELECT SUM_S(*) FROM Segment",
+                                 {stores_[3].get()});
   ASSERT_TRUE(result.ok()) << result.status();
   bool saw_estimate = false;
   for (const auto& row : result->rows) {

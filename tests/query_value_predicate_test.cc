@@ -15,26 +15,6 @@ namespace {
 
 constexpr SamplingInterval kSi = 100;
 
-// Counts segments visited by a scan (to assert pruning happened).
-class CountingSource : public SegmentSource {
- public:
-  explicit CountingSource(const SegmentStore* store) : store_(store) {}
-  Status ScanSegments(
-      const SegmentFilter& filter,
-      const std::function<Status(const Segment&)>& fn) const override {
-    return store_->Scan(filter, [&](const Segment& segment) {
-      ++segments_scanned_;
-      return fn(segment);
-    });
-  }
-  int64_t segments_scanned() const { return segments_scanned_; }
-  void Reset() { segments_scanned_ = 0; }
-
- private:
-  const SegmentStore* store_;
-  mutable int64_t segments_scanned_ = 0;
-};
-
 class ValuePredicateTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -68,8 +48,7 @@ class ValuePredicateTest : public ::testing::Test {
   }
 
   QueryResult Run(const std::string& sql) {
-    CountingSource source(store_.get());
-    auto result = engine_->Execute(sql, source);
+    auto result = engine_->Execute(sql, {store_.get()});
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? *result : QueryResult{};
   }
@@ -144,14 +123,15 @@ TEST_F(ValuePredicateTest, CubeWithValueFilter) {
 
 TEST_F(ValuePredicateTest, DisjointSegmentsArePruned) {
   // Compile a query whose value range only matches the 90s block and
-  // check the pruning path by confirming the correct result over a store
-  // whose other segments could not have matched.
+  // check the pruning path: the correct result, and segments the scan
+  // delivered but never decoded (their statistics ruled them out).
   auto ast = *ParseQuery("SELECT COUNT_S(*) FROM Segment WHERE Value > 80");
   auto compiled = *engine_->Compile(ast);
   EXPECT_TRUE(compiled.has_value_predicate);
   EXPECT_GT(compiled.min_value, 80.0 - 1e-9);
-  CountingSource source(store_.get());
-  auto partial = *engine_->ExecutePartial(compiled, source);
+  auto partial = *engine_->ExecutePartial(compiled, *store_);
+  EXPECT_GT(partial.scan.segments_scanned, 0);
+  EXPECT_LT(partial.scan.segments_decoded, partial.scan.segments_scanned);
   std::vector<PartialResult> partials;
   partials.push_back(std::move(partial));
   auto result = *engine_->MergeFinalize(compiled, std::move(partials));

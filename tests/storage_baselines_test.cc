@@ -19,6 +19,12 @@ struct StoreCase {
   bool online;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, pointers included,
+// into each listed test name, so the names change on every run under ASLR.
+void PrintTo(const StoreCase& store_case, std::ostream* os) {
+  *os << store_case.label;
+}
+
 std::unique_ptr<DataPointStore> MakeRow() {
   return std::move(*RowStore::Open(RowStoreOptions{}));
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: repo hygiene, tier-1 tests (which include the modelarlint
-# LintTree gate), the tier-2 TSan subset, the ASan and UBSan tiers, and
-# the static-analysis gates (Clang thread-safety build, clang-tidy,
-# parser fuzz smoke).
+# LintTree gate), the crash gates, an e2ebench smoke run, the tier-2 TSan
+# subset, the ASan and UBSan tiers, and the static-analysis gates (Clang
+# thread-safety build, clang-tidy, parser fuzz smoke).
 #
 # The three Clang-only stages detect the toolchain and SKIP (loudly, but
 # green) when clang++/clang-tidy are not installed, so the script stays
@@ -83,6 +83,23 @@ echo "ci: slab-recovery gate passed"
 # fork.
 ./build/tools/crash_writer --bundle
 echo "ci: diagnostics-bundle gate passed"
+
+# End-to-end benchmark smoke: a short traced ep_hot run and an untraced
+# ep_cold run of e2ebench (BENCHMARK.json). run.py exits 0 even when its
+# answer gate fails, so the stage reads the result line itself and
+# requires "failed": 0. The traced mode replays ExecuteOnWorker +
+# MergeFinalize against the same answer check as ClusterEngine::Execute,
+# so this also catches that replica drifting from the engine.
+for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0"; do
+  # shellcheck disable=SC2086  # $run is a list of arguments.
+  result="$(python3 e2ebench/run.py $run --seed 1 --seconds 4 | tail -n 1)"
+  if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+      "$result"; then
+    echo "FAIL: e2ebench $run: $result" >&2
+    exit 1
+  fi
+done
+echo "ci: e2ebench smoke passed"
 
 # Tier 2: concurrency subset under ThreadSanitizer.
 cmake -B build-tsan -S . -DMODELARDB_SANITIZE=thread >/dev/null

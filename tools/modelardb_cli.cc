@@ -169,10 +169,10 @@ void RunShell(cluster::ClusterEngine* engine,
         std::vector<Value> pattern;
         double v;
         while (args >> v) pattern.push_back(static_cast<Value>(v));
-        query::StoreSegmentSource source(
+        const SegmentStore* store =
             engine->worker(engine->WorkerOf(
-                engine->query_engine().GidOf(tid)))->store());
-        auto matches = search.TopK(source, tid, pattern, k);
+                engine->query_engine().GidOf(tid)))->store();
+        auto matches = search.TopK(*store, tid, pattern, k);
         if (!matches.ok()) {
           std::printf("error: %s\n", matches.status().ToString().c_str());
           continue;
