@@ -2,14 +2,16 @@
 //
 // ReadWalBlocks is the recovery entry point: after a crash it consumes
 // whatever bytes the disk happens to hold, so it must classify arbitrary
-// input as {clean, torn tail, interior corruption} without ever crashing,
-// over-reading, or looping. The harness additionally deserializes every
-// payload the reader accepts exactly the way SegmentStore::ReplayLog does
-// (varint count + Segment::Deserialize), so a block whose CRC validates
-// but whose payload trips the decoder is exercised too. Build with
+// input as {clean, torn tail, interior corruption, refused v1 format}
+// without ever crashing, over-reading, or looping. The harness
+// additionally deserializes every payload the reader accepts exactly the
+// way SegmentStore::ReplayLog does (varint count + Segment::Deserialize),
+// so a block whose CRC validates but whose payload trips the decoder is
+// exercised too. Build with
 //   cmake -B build-fuzz -DCMAKE_CXX_COMPILER=clang++ -DMODELARDB_FUZZ=ON
 //   ./build-fuzz/fuzz/fuzz_wal_replay fuzz/corpus_wal -max_total_time=30
-// The seed corpus under fuzz/corpus_wal/ holds real v1, v2 and torn logs.
+// The seed corpus under fuzz/corpus_wal/ holds real v2 and torn logs, and
+// v1 logs the reader must refuse.
 
 #include <cstddef>
 #include <cstdint>

@@ -89,7 +89,6 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Create(
           config.storage_root + "/worker" + std::to_string(i);
     }
     store_options.bulk_write_size = config.bulk_write_size;
-    store_options.index_block_size = config.index_block_size;
     store_options.registry = registry;
     store_options.group_sizes = std::move(worker_group_sizes[i]);
     MODELARDB_ASSIGN_OR_RETURN(std::unique_ptr<SegmentStore> store,

@@ -41,9 +41,6 @@ struct ClusterConfig {
   bool enable_splitting = true;
   double split_fraction = 10.0;
   size_t bulk_write_size = 50000;
-  // Segments per summary-index block in every worker store; 0 disables
-  // the index (see SegmentStoreOptions::index_block_size).
-  size_t index_block_size = 256;
   // Degree of intra-process parallelism for queries, flushes and (through
   // the pipeline) ingestion:
   //   0  — the process-wide pool sized to the hardware (the default);

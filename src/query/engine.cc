@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/event_ring.h"
 #include "obs/metric_names.h"
@@ -91,12 +92,19 @@ bool NeedsExactSumFold(const Query& ast) {
   return false;
 }
 
-// The Gids a query runs over in one partition: the push-down Gids, or
-// every group in the store when the filter names none. Both lists are
-// ascending.
+// The Gids a query runs over in one partition, ascending: every group in
+// the store, or those of the push-down Gids (ascending too) it stores.
 std::vector<Gid> MorselGids(const CompiledQuery& compiled,
                             const SegmentStore& store) {
-  return compiled.filter.gids.empty() ? store.Gids() : compiled.filter.gids;
+  std::vector<Gid> stored = store.Gids();
+  if (compiled.filter.gids.empty()) return stored;
+  // A named Gid another partition owns would cost an empty morsel, span,
+  // estimate and snapshot here.
+  std::vector<Gid> gids;
+  std::set_intersection(compiled.filter.gids.begin(),
+                        compiled.filter.gids.end(), stored.begin(),
+                        stored.end(), std::back_inserter(gids));
+  return gids;
 }
 
 void ApplyLimit(const std::optional<int64_t>& limit, QueryResult* result) {
@@ -443,11 +451,10 @@ std::vector<Cell> QueryEngine::KeyFor(const CompiledQuery& compiled,
   return key;
 }
 
-BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
-                                             const BlockView& view,
-                                             size_t num_aggs, bool needs_sum,
-                                             Fold* fold) const {
-  const SegmentBlock& block = *view.block;
+Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
+    const CompiledQuery& compiled, const BlockView& view, size_t num_aggs,
+    bool needs_sum, Fold* fold) const {
+  const SealedBlock& block = *view.block;
   const TimeSeriesGroup& group = groups_[view.gid - 1];
   const size_t group_size = group.tids.size();
   if (block.counts.size() != group_size) return BlockAction::kFallback;
@@ -520,22 +527,21 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
     if (states.empty()) states.resize(num_aggs);
     states_of[k] = &states;
   }
-  for (uint32_t i = 0; i < block.size(); ++i) {
-    const Segment& segment = view.segments[i];
-    const SegmentSummary& summary = view.summaries[i];
+  auto fold_segment = [&](const Segment& segment,
+                          const SegmentSummary* summary) {
     if (segment.gap_mask == 0) {
       // Gap-free segment (the common case): decoder columns equal group
       // positions, no matching scan needed.
       for (size_t k = 0; k < selected.size(); ++k) {
         const Sel& s = selected[k];
         AggregateSummary agg;
-        agg.sum = summary.sum(s.pos);
-        agg.min = summary.min(s.pos);
-        agg.max = summary.max(s.pos);
+        agg.sum = summary->sum(s.pos);
+        agg.min = summary->min(s.pos);
+        agg.max = summary->max(s.pos);
         agg.count = segment.Length();
         for (auto& state : *states_of[k]) UpdateState(&state, agg, s.scaling);
       }
-      continue;
+      return Status::OK();
     }
     int column = 0;
     size_t next = 0;
@@ -552,13 +558,15 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
       }
       const Sel& s = selected[next];
       AggregateSummary agg;
-      agg.sum = summary.sum(col);
-      agg.min = summary.min(col);
-      agg.max = summary.max(col);
+      agg.sum = summary->sum(col);
+      agg.min = summary->min(col);
+      agg.max = summary->max(col);
       agg.count = segment.Length();
       for (auto& state : *states_of[next]) UpdateState(&state, agg, s.scaling);
     }
-  }
+    return Status::OK();
+  };
+  MODELARDB_RETURN_NOT_OK(view.ForEachSegment(fold_segment));
   return BlockAction::kSummarized;
 }
 

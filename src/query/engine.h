@@ -204,12 +204,15 @@ class QueryEngine {
   // per-segment materialized summaries are folded — the same arithmetic
   // in the same order as decoding, so results stay byte-identical; for
   // COUNT/MIN/MAX-only queries the block's order-free pre-folded
-  // aggregates are consumed directly. Returns kFallback when the value
-  // zone map straddles the predicate (or a scaling is non-positive), so
-  // the exhaustive path decides per segment.
-  BlockAction ConsumeCoveredBlock(const CompiledQuery& compiled,
-                                  const BlockView& view, size_t num_aggs,
-                                  bool needs_sum, Fold* fold) const;
+  // aggregates are consumed directly. The SUM/AVG fold reads each
+  // segment's gap mask and length through the view, which pins a leased
+  // payload. Returns kFallback when the value zone map straddles the
+  // predicate (or a scaling is non-positive), so the exhaustive path
+  // decides per segment.
+  Result<BlockAction> ConsumeCoveredBlock(const CompiledQuery& compiled,
+                                          const BlockView& view,
+                                          size_t num_aggs, bool needs_sum,
+                                          Fold* fold) const;
 
   const TimeSeriesCatalog* catalog_;
   std::vector<TimeSeriesGroup> groups_;     // Indexed gid-1.

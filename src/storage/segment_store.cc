@@ -85,12 +85,6 @@ void RecordScanStats(const ScanStats& stats) {
   if (stats.segments_scanned != 0) segments.Add(stats.segments_scanned);
 }
 
-}  // namespace
-}  // namespace modelardb
-
-namespace modelardb {
-namespace {
-
 bool SegmentLess(const Segment& a, const Segment& b) {
   return std::tie(a.end_time, a.gap_mask) < std::tie(b.end_time, b.gap_mask);
 }
@@ -98,8 +92,44 @@ bool SegmentLess(const Segment& a, const Segment& b) {
 // Slab tag of the cold-index block (real blocks are tagged with their Gid,
 // which is never negative, let alone all-ones).
 constexpr uint64_t kColdIndexTag = ~uint64_t{0};
+// v2 carries each block's pre-folded aggregates, so Open reads no data
+// pages.
+constexpr uint64_t kColdIndexVersion = 2;
+
+// First block index whose block fails `before`; `before` must hold for a
+// prefix of the group's blocks (they are in clustering order).
+template <typename Group, typename Pred>
+size_t FirstBlockNot(const Group& group, Pred before) {
+  size_t lo = 0, hi = group.num_blocks();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (before(group.block(mid))) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
 }  // namespace
+
+Status BlockView::PinPayload(SlabFile::Pin* pin, BufferReader* reader) const {
+  if (slab == nullptr) {
+    return Status::IOError("leased block without a slab file");
+  }
+  MODELARDB_ASSIGN_OR_RETURN(*pin, slab->ReadBlock(block->slab_id));
+  if (stats != nullptr) ++stats->cold_pins;
+  *reader = BufferReader(pin->bytes());
+  MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader->ReadVarint());
+  if (count != block->count) {
+    return Status::Corruption("slab block " + std::to_string(block->slab_id) +
+                              " holds " + std::to_string(count) +
+                              " segments, its index says " +
+                              std::to_string(block->count));
+  }
+  return Status::OK();
+}
 
 SegmentStore::SegmentStore(SegmentStoreOptions options)
     : options_(std::move(options)) {
@@ -118,6 +148,9 @@ SegmentStore::~SegmentStore() {
 
 Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
     const SegmentStoreOptions& options) {
+  if (options.block_size == 0) {
+    return Status::InvalidArgument("SegmentStoreOptions::block_size is 0");
+  }
   std::unique_ptr<SegmentStore> store(new SegmentStore(options));
   if (!options.directory.empty()) {
     std::error_code ec;
@@ -168,6 +201,7 @@ Status SegmentStore::ReplayLog() {
   MODELARDB_ASSIGN_OR_RETURN(WalReadResult wal,
                              ReadWalBlocks(file.data(), file.size(),
                                            log_path_));
+  std::map<Gid, std::vector<Segment>> replayed;
   for (const WalBlockRef& ref : wal.blocks) {
     BufferReader block(file.data() + ref.payload_offset, ref.payload_size);
     MODELARDB_ASSIGN_OR_RETURN(uint64_t count, block.ReadVarint());
@@ -176,13 +210,7 @@ Status SegmentStore::ReplayLog() {
       // writer-side format bug, not disk damage — surface it loudly.
       MODELARDB_ASSIGN_OR_RETURN(Segment segment,
                                  Segment::Deserialize(&block));
-      GroupSlot& slot = index_[segment.gid];
-      if (!slot.data) {
-        slot.data = std::make_shared<GroupData>();
-        slot.data->gid = segment.gid;
-      }
-      slot.data->segments.push_back(std::move(segment));
-      num_segments_.fetch_add(1, std::memory_order_relaxed);
+      replayed[segment.gid].push_back(std::move(segment));
       ++recovery_info_.segments_replayed;
     }
     ++recovery_info_.blocks_replayed;
@@ -199,19 +227,36 @@ Status SegmentStore::ReplayLog() {
   }
   disk_bytes_ = static_cast<int64_t>(watermark + wal.valid_bytes);
   wal_bytes_total_ = watermark + wal.valid_bytes;
-  for (auto& [gid, slot] : index_) {
-    std::sort(slot.data->segments.begin(), slot.data->segments.end(),
-              SegmentLess);
-    if (options_.index_block_size > 0) {
-      if (MaterializeFor(gid)) {
-        int group_size = GroupSizeOf(gid);
-        slot.data->summaries.reserve(slot.data->segments.size());
-        for (const Segment& segment : slot.data->segments) {
-          slot.data->summaries.push_back(BuildSummary(segment, group_size));
-        }
+  for (auto& [gid, segments] : replayed) {
+    // Sorted first, so the replay appends into full blocks; the stable sort
+    // keeps equal keys in log order, as the live store had them.
+    std::stable_sort(segments.begin(), segments.end(), SegmentLess);
+    GroupData* data = SlotFor(gid).data.get();
+    const size_t n = segments.size();
+    num_segments_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+    if (data->num_blocks() > 0) {
+      // The slab holds some of the group: insert among its blocks.
+      for (Segment& segment : segments) {
+        MODELARDB_RETURN_NOT_OK(InsertLocked(data, std::move(segment)));
       }
-      RebuildBlocks(slot.data.get());
+      continue;
     }
+    // An empty group takes the sorted run whole, in the layout puts in
+    // clustering order would have given it.
+    std::vector<SegmentSummary> summaries;
+    if (data->width > 0) {
+      summaries.reserve(n);
+      for (const Segment& segment : segments) {
+        summaries.push_back(BuildSummary(segment, data->width));
+      }
+    }
+    const size_t sealed = n - n % options_.block_size;
+    data->tail = BuildBlock(data->width, &segments, &summaries, sealed, n);
+    segments.resize(sealed);
+    summaries.resize(std::min(summaries.size(), sealed));
+    data->sealed = SealRun(data->width, std::move(segments),
+                           std::move(summaries), options_.block_size);
+    UpdateSuffixFences(data, 0);
   }
   return Status::OK();
 }
@@ -247,25 +292,17 @@ Status SegmentStore::QuarantineTornTail(const std::vector<uint8_t>& file,
   return Status::OK();
 }
 
-int SegmentStore::GroupSizeOf(Gid gid) const {
+int SegmentStore::SummaryWidth(Gid gid) const {
   auto it = options_.group_sizes.find(gid);
-  return it == options_.group_sizes.end() ? 0 : it->second;
-}
-
-bool SegmentStore::MaterializeFor(Gid gid) const {
-  if (options_.index_block_size == 0 || options_.registry == nullptr) {
-    return false;
+  if (options_.registry == nullptr || it == options_.group_sizes.end()) {
+    return 0;
   }
-  int group_size = GroupSizeOf(gid);
-  return group_size > 0 && group_size <= 64;
+  return it->second <= 64 ? std::max(it->second, 0) : 0;
 }
 
 SegmentSummary SegmentStore::BuildSummary(const Segment& segment,
                                           int group_size) const {
   SegmentSummary out;
-  if (options_.registry == nullptr || group_size <= 0 || group_size > 64) {
-    return out;
-  }
   int64_t length = segment.Length();
   int represented = segment.RepresentedSeries(group_size);
   if (length <= 0 || represented == 0) return out;
@@ -284,15 +321,21 @@ SegmentSummary SegmentStore::BuildSummary(const Segment& segment,
   return out;
 }
 
-void SegmentStore::FoldIntoBlock(SegmentBlock* block, const Segment& segment,
-                                 const SegmentSummary* summary,
-                                 int group_size) {
+void SegmentStore::AppendToBlock(SealedBlock* block, Segment&& segment,
+                                 SegmentSummary&& summary, int group_size) {
+  if (block->count == 0 && group_size > 0) {
+    block->has_summaries = true;
+    block->counts.assign(group_size, 0);
+    block->sums.assign(group_size, 0.0);
+    block->mins.assign(group_size, 0.0);
+    block->maxs.assign(group_size, 0.0);
+  }
   block->min_start_time = std::min(block->min_start_time, segment.start_time);
-  block->max_end_time = std::max(block->max_end_time, segment.end_time);
+  block->max_end_time = segment.end_time;  // Appends come in key order.
+  block->last_gap_mask = segment.gap_mask;
   block->min_value = std::min(block->min_value, segment.min_value);
   block->max_value = std::max(block->max_value, segment.max_value);
-  if (!block->has_summaries) return;
-  if (summary == nullptr || !summary->valid()) {
+  if (block->has_summaries && !summary.valid()) {
     // One unmaterialized segment poisons the whole block's aggregates;
     // the fences above stay valid.
     block->has_summaries = false;
@@ -300,99 +343,55 @@ void SegmentStore::FoldIntoBlock(SegmentBlock* block, const Segment& segment,
     block->sums.clear();
     block->mins.clear();
     block->maxs.clear();
-    return;
-  }
-  int64_t length = segment.Length();
-  int col = 0;
-  for (int pos = 0; pos < group_size; ++pos) {
-    if (segment.SeriesInGap(pos)) continue;
-    if (block->counts[pos] == 0) {
-      block->mins[pos] = summary->min(col);
-      block->maxs[pos] = summary->max(col);
-    } else {
-      block->mins[pos] = std::min(block->mins[pos], summary->min(col));
-      block->maxs[pos] = std::max(block->maxs[pos], summary->max(col));
-    }
-    block->counts[pos] += length;
-    block->sums[pos] += summary->sum(col);
-    ++col;
-  }
-}
-
-void SegmentStore::UpdateSuffixFences(std::vector<SegmentBlock>* blocks) {
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = blocks->size(); i-- > 0;) {
-    suffix = std::min(suffix, (*blocks)[i].min_start_time);
-    if ((*blocks)[i].suffix_min_start_time == suffix) break;  // Converged.
-    (*blocks)[i].suffix_min_start_time = suffix;
-  }
-}
-
-void SegmentStore::AppendToIndex(GroupData* data, size_t index) const {
-  const Segment& segment = data->segments[index];
-  const bool materialize = MaterializeFor(data->gid);
-  int group_size = GroupSizeOf(data->gid);
-  const SegmentSummary* summary =
-      materialize ? &data->summaries[index] : nullptr;
-  if (data->blocks.empty() ||
-      data->blocks.back().size() >= options_.index_block_size) {
-    SegmentBlock block;
-    block.begin = static_cast<uint32_t>(index);
-    block.end = block.begin;
-    if (materialize) {
-      block.has_summaries = true;
-      block.counts.assign(group_size, 0);
-      block.sums.assign(group_size, 0.0);
-      block.mins.assign(group_size, 0.0);
-      block.maxs.assign(group_size, 0.0);
-    }
-    data->blocks.push_back(std::move(block));
-  }
-  SegmentBlock& block = data->blocks.back();
-  block.end = static_cast<uint32_t>(index + 1);
-  FoldIntoBlock(&block, segment, summary, group_size);
-  UpdateSuffixFences(&data->blocks);
-}
-
-void SegmentStore::RebuildBlocks(GroupData* data) const {
-  data->blocks.clear();
-  if (options_.index_block_size == 0) return;
-  StoreBlockRebuilds().Add();
-  obs::EventRing::Global().Record(obs::EventKind::kBlockRebuild,
-                                  static_cast<int64_t>(data->gid),
-                                  static_cast<int64_t>(data->segments.size()),
-                                  "cow_rebuild");
-  const bool materialize = MaterializeFor(data->gid);
-  int group_size = GroupSizeOf(data->gid);
-  data->blocks.reserve(
-      (data->segments.size() + options_.index_block_size - 1) /
-      std::max<size_t>(options_.index_block_size, 1));
-  for (size_t i = 0; i < data->segments.size(); ++i) {
-    if (data->blocks.empty() ||
-        data->blocks.back().size() >= options_.index_block_size) {
-      SegmentBlock block;
-      block.begin = static_cast<uint32_t>(i);
-      block.end = block.begin;
-      if (materialize) {
-        block.has_summaries = true;
-        block.counts.assign(group_size, 0);
-        block.sums.assign(group_size, 0.0);
-        block.mins.assign(group_size, 0.0);
-        block.maxs.assign(group_size, 0.0);
+  } else if (block->has_summaries) {
+    const int64_t length = segment.Length();
+    int col = 0;
+    for (int pos = 0; pos < group_size; ++pos) {
+      if (segment.SeriesInGap(pos)) continue;
+      if (block->counts[pos] == 0) {
+        block->mins[pos] = summary.min(col);
+        block->maxs[pos] = summary.max(col);
+      } else {
+        block->mins[pos] = std::min(block->mins[pos], summary.min(col));
+        block->maxs[pos] = std::max(block->maxs[pos], summary.max(col));
       }
-      data->blocks.push_back(std::move(block));
+      block->counts[pos] += length;
+      block->sums[pos] += summary.sum(col);
+      ++col;
     }
-    SegmentBlock& block = data->blocks.back();
-    block.end = static_cast<uint32_t>(i + 1);
-    FoldIntoBlock(&block, data->segments[i],
-                  materialize ? &data->summaries[i] : nullptr, group_size);
   }
-  // Full backward pass (UpdateSuffixFences early-stops, which is only
-  // valid for incremental appends).
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = data->blocks.size(); i-- > 0;) {
-    suffix = std::min(suffix, data->blocks[i].min_start_time);
-    data->blocks[i].suffix_min_start_time = suffix;
+  if (group_size > 0) block->summaries.push_back(std::move(summary));
+  block->segments.push_back(std::move(segment));
+  ++block->count;
+}
+
+SealedBlock SegmentStore::BuildBlock(int group_size,
+                                     std::vector<Segment>* segments,
+                                     std::vector<SegmentSummary>* summaries,
+                                     size_t begin, size_t end) {
+  SealedBlock block;
+  block.segments.reserve(end - begin);
+  if (group_size > 0) block.summaries.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    AppendToBlock(&block, std::move((*segments)[i]),
+                  i < summaries->size() ? std::move((*summaries)[i])
+                                        : SegmentSummary{},
+                  group_size);
+  }
+  return block;
+}
+
+void SegmentStore::UpdateSuffixFences(GroupData* data, size_t from) {
+  const size_t n = data->sealed.size();
+  data->suffix_min_start.resize(n + 1);
+  Timestamp suffix = data->tail.min_start_time;  // max() when empty.
+  data->suffix_min_start[n] = suffix;
+  for (size_t i = n; i-- > 0;) {
+    suffix = std::min(suffix, data->sealed[i]->min_start_time);
+    // Blocks before `from` are unchanged: once a fence stands, so do all
+    // earlier ones.
+    if (i < from && data->suffix_min_start[i] == suffix) break;
+    data->suffix_min_start[i] = suffix;
   }
 }
 
@@ -401,53 +400,142 @@ Status SegmentStore::Put(const Segment& segment) {
   return PutLocked(segment);
 }
 
-Status SegmentStore::PutLocked(const Segment& segment) {
-  GroupSlot& slot = index_[segment.gid];
+SegmentStore::GroupSlot& SegmentStore::SlotFor(Gid gid) {
+  GroupSlot& slot = index_[gid];
   if (!slot.data) {
     slot.data = std::make_shared<GroupData>();
-    slot.data->gid = segment.gid;
-  } else if (slot.snapshotted) {
+    slot.data->gid = gid;
+    slot.data->width = SummaryWidth(gid);
+  }
+  return slot;
+}
+
+Status SegmentStore::PutLocked(const Segment& segment) {
+  GroupSlot& slot = SlotFor(segment.gid);
+  if (slot.snapshotted) {
     // A running scan may still iterate this group's data: leave it intact
-    // and mutate a private copy (copy-on-write).
+    // and mutate a private copy (copy-on-write). Sealed blocks are shared.
     slot.data = std::make_shared<GroupData>(*slot.data);
     slot.snapshotted = false;
     StoreCowCopies().Add();
   }
   StorePutTotal().Add();
-  GroupData& data = *slot.data;
-  const bool index_enabled = options_.index_block_size > 0;
-  const bool materialize = MaterializeFor(segment.gid);
-  // Common case: appends arrive in end_time order per group.
-  if (!data.segments.empty() && SegmentLess(segment, data.segments.back())) {
-    auto it = std::upper_bound(data.segments.begin(), data.segments.end(),
-                               segment, SegmentLess);
-    size_t pos = static_cast<size_t>(it - data.segments.begin());
-    data.segments.insert(it, segment);
-    if (index_enabled) {
-      if (materialize) {
-        data.summaries.insert(
-            data.summaries.begin() + static_cast<ptrdiff_t>(pos),
-            BuildSummary(segment, GroupSizeOf(segment.gid)));
-      }
-      // Out-of-order insert shifts every later segment: rebuild the
-      // group's blocks (rare; ingestion appends in end_time order).
-      RebuildBlocks(&data);
-    }
-  } else {
-    data.segments.push_back(segment);
-    if (index_enabled) {
-      if (materialize) {
-        data.summaries.push_back(
-            BuildSummary(segment, GroupSizeOf(segment.gid)));
-      }
-      AppendToIndex(&data, data.segments.size() - 1);
-    }
-  }
+  MODELARDB_RETURN_NOT_OK(InsertLocked(slot.data.get(), Segment(segment)));
   num_segments_.fetch_add(1, std::memory_order_relaxed);
   if (!log_path_.empty()) {
     write_buffer_.push_back(segment);
     if (write_buffer_.size() >= options_.bulk_write_size) {
       MODELARDB_RETURN_NOT_OK(FlushLocked());
+    }
+  }
+  return Status::OK();
+}
+
+Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
+  const Gid gid = data->gid;
+  const int width = data->width;
+  SegmentSummary summary =
+      width > 0 ? BuildSummary(segment, width) : SegmentSummary{};
+  // The segment goes to the first block whose last key sorts after it, so
+  // equal keys keep arrival order; past every block it appends.
+  auto before = [&](const SealedBlock& block) {
+    return std::tie(block.max_end_time, block.last_gap_mask) <=
+           std::tie(segment.end_time, segment.gap_mask);
+  };
+  size_t target = data->num_blocks();
+  if (target > 0 && !before(data->block(target - 1))) {
+    target = FirstBlockNot(*data, before);
+  }
+  const size_t sealed = data->sealed.size();
+  if (target == data->num_blocks()) {
+    // Common case: appends arrive in clustering order per group.
+    AppendToBlock(&data->tail, std::move(segment), std::move(summary), width);
+  } else {
+    // Out of order (rare; ingestion appends in EndTime order): rebuild
+    // the one block the segment lands in.
+    std::vector<Segment> segments;
+    std::vector<SegmentSummary> summaries;
+    MODELARDB_RETURN_NOT_OK(
+        MaterializeBlock(*data, data->block(target), &segments, &summaries));
+    const auto at = std::upper_bound(segments.begin(), segments.end(),
+                                     segment, SegmentLess);
+    if (!summaries.empty()) {
+      summaries.insert(summaries.begin() + (at - segments.begin()),
+                       std::move(summary));
+    }
+    segments.insert(at, std::move(segment));
+    StoreBlockRebuilds().Add();
+    obs::EventRing::Global().Record(obs::EventKind::kBlockRebuild,
+                                    static_cast<int64_t>(gid),
+                                    static_cast<int64_t>(segments.size()),
+                                    "cow_rebuild");
+    if (target == sealed) {
+      data->tail =
+          BuildBlock(width, &segments, &summaries, 0, segments.size());
+    } else {
+      // A full block splits in two, leaving room for later inserts.
+      const SealedBlock& old = *data->sealed[target];
+      if (old.leased()) retired_slab_ids_.push_back(old.slab_id);
+      const size_t chunk = segments.size() > options_.block_size
+                               ? (segments.size() + 1) / 2
+                               : segments.size();
+      std::vector<BlockPtr> blocks =
+          SealRun(width, std::move(segments), std::move(summaries), chunk);
+      data->sealed.erase(data->sealed.begin() + target);
+      data->sealed.insert(data->sealed.begin() + target, blocks.begin(),
+                          blocks.end());
+      UpdateSuffixFences(data, target);
+      return Status::OK();
+    }
+  }
+  if (data->tail.count >= options_.block_size) {
+    data->sealed.push_back(
+        std::make_shared<const SealedBlock>(std::move(data->tail)));
+    data->tail = SealedBlock{};
+  }
+  UpdateSuffixFences(data, sealed);
+  return Status::OK();
+}
+
+std::vector<SegmentStore::BlockPtr> SegmentStore::SealRun(
+    int group_size, std::vector<Segment> segments,
+    std::vector<SegmentSummary> summaries, size_t chunk) {
+  std::vector<BlockPtr> blocks;
+  for (size_t begin = 0; begin < segments.size(); begin += chunk) {
+    blocks.push_back(std::make_shared<const SealedBlock>(
+        BuildBlock(group_size, &segments, &summaries, begin,
+                   std::min(begin + chunk, segments.size()))));
+  }
+  return blocks;
+}
+
+Status SegmentStore::MaterializeBlock(
+    const GroupData& group, const SealedBlock& block,
+    std::vector<Segment>* segments,
+    std::vector<SegmentSummary>* summaries) const {
+  if (block.leased()) {
+    BlockView view;
+    view.block = &block;
+    view.slab = slab_.get();
+    int64_t bytes = 0;
+    MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
+        [&](const Segment& segment, const SegmentSummary*) {
+          segments->push_back(segment);  // Deep-copies the parameters.
+          bytes += static_cast<int64_t>(segment.StorageBytes());
+          return Status::OK();
+        }));
+    SlabCopiedScanBytes().Add(bytes);
+  } else {
+    *segments = block.segments;
+  }
+  summaries->clear();
+  const int width = group.width;
+  if (width == 0) return Status::OK();
+  *summaries = block.summaries;
+  summaries->resize(segments->size());
+  for (size_t i = 0; i < segments->size(); ++i) {
+    if (!(*summaries)[i].valid()) {
+      (*summaries)[i] = BuildSummary((*segments)[i], width);
     }
   }
   return Status::OK();
@@ -559,20 +647,27 @@ Status SegmentStore::CheckpointLocked() {
   // to the allocator, frees are restored) and discards the copies, leaving
   // the store byte-for-byte where it started — a failed checkpoint is
   // invisible except for the warning FlushLocked logs.
+  auto has_hot = [](const GroupSlot& slot) {
+    return slot.data != nullptr &&
+           (slot.data->tail.count > 0 ||
+            std::any_of(slot.data->sealed.begin(), slot.data->sealed.end(),
+                        [](const BlockPtr& b) { return !b->leased(); }));
+  };
   int64_t groups_to_stage = 0;
-  for (const auto& [gid, slot] : index_) {
-    if (slot.data && !slot.data->segments.empty()) ++groups_to_stage;
-  }
+  for (const auto& [gid, slot] : index_) groups_to_stage += has_hot(slot);
   obs::EventRing::Global().Record(obs::EventKind::kCheckpointBegin,
                                   groups_to_stage);
   std::vector<std::pair<Gid, GroupSlot>> originals;
+  // Payloads no longer referenced: out-of-order rewrites since the last
+  // checkpoint plus the short blocks this one coalesces.
+  std::vector<uint64_t> retired = retired_slab_ids_;
   Status status = Status::OK();
   int64_t groups_staged = 0;
   for (auto& [gid, slot] : index_) {
-    if (!slot.data || slot.data->segments.empty()) continue;
+    if (!has_hot(slot)) continue;
     auto updated = std::make_shared<GroupData>(*slot.data);
     if (slot.snapshotted) StoreCowCopies().Add();
-    status = CheckpointGroupLocked(gid, updated.get());
+    status = CheckpointGroupLocked(gid, updated.get(), &retired);
     if (!status.ok()) break;
     originals.emplace_back(gid, slot);
     slot.data = std::move(updated);
@@ -580,6 +675,9 @@ Status SegmentStore::CheckpointLocked() {
     ++groups_staged;
     heartbeat.Beat();
     phase("stage_group", static_cast<int64_t>(gid));
+  }
+  for (uint64_t id : retired) {
+    if (status.ok()) status = slab_->FreeBlock(id);
   }
   // The cold index travels with every checkpoint: free the previous copy,
   // stage the new one, and flip the root. Even a checkpoint with no new
@@ -615,6 +713,7 @@ Status SegmentStore::CheckpointLocked() {
     phase("abort", 0);
     return status;
   }
+  retired_slab_ids_.clear();
   const int64_t duration_ns = obs::MonotonicNanos() - checkpoint_begin_ns;
   SlabCheckpointSeconds().Observe(static_cast<double>(duration_ns) * 1e-9);
   obs::EventRing::Global().Record(obs::EventKind::kCheckpointEnd,
@@ -622,140 +721,103 @@ Status SegmentStore::CheckpointLocked() {
   return Status::OK();
 }
 
-// Stages one group's hot segments into cold blocks. Mutates `data` (a
-// private copy) and the slab's *staged* state only — safe to unwind with
-// AbortCheckpoint if any later step of the checkpoint fails.
-Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data) {
-  if (!data->cold.empty() &&
-      data->segments.front().end_time <= data->cold.back()->max_end_time) {
-    MODELARDB_RETURN_NOT_OK(RewriteGroupLocked(data));
-  } else if (!data->cold.empty() &&
-             data->cold.back()->count < options_.slab_block_segments) {
-    // Coalesce the partial tail block into the hot run so repeated small
-    // checkpoints converge to full-size cold blocks instead of a long
-    // tail of slivers.
-    std::shared_ptr<const ColdBlock> tail = data->cold.back();
-    std::vector<Segment> tail_segments;
-    std::vector<SegmentSummary> tail_summaries;
-    MODELARDB_RETURN_NOT_OK(MaterializeColdBlock(
-        slab_.get(), *tail, &tail_segments, &tail_summaries));
-    MODELARDB_RETURN_NOT_OK(slab_->FreeBlock(tail->slab_id));
-    data->cold.pop_back();
-    if (MaterializeFor(gid)) {
-      int group_size = GroupSizeOf(gid);
-      for (size_t i = 0; i < tail_segments.size(); ++i) {
-        if (!tail_summaries[i].valid()) {
-          tail_summaries[i] = BuildSummary(tail_segments[i], group_size);
-        }
-      }
-      data->summaries.insert(data->summaries.begin(), tail_summaries.begin(),
-                             tail_summaries.end());
+Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data,
+                                           std::vector<uint64_t>* retired) {
+  if (data->tail.count > 0) {
+    // Seal the tail, coalescing a short last block into it so repeated
+    // small checkpoints converge to full-size blocks.
+    std::vector<Segment> segments;
+    std::vector<SegmentSummary> summaries;
+    if (!data->sealed.empty() &&
+        data->sealed.back()->count < options_.block_size) {
+      const SealedBlock& last = *data->sealed.back();
+      MODELARDB_RETURN_NOT_OK(
+          MaterializeBlock(*data, last, &segments, &summaries));
+      if (last.leased()) retired->push_back(last.slab_id);
+      data->sealed.pop_back();
     }
-    data->segments.insert(data->segments.begin(), tail_segments.begin(),
-                          tail_segments.end());
+    SealedBlock& tail = data->tail;
+    std::move(tail.segments.begin(), tail.segments.end(),
+              std::back_inserter(segments));
+    std::move(tail.summaries.begin(), tail.summaries.end(),
+              std::back_inserter(summaries));
+    tail = SealedBlock{};
+    for (BlockPtr& block :
+         SealRun(data->width, std::move(segments), std::move(summaries),
+                 options_.block_size)) {
+      data->sealed.push_back(std::move(block));
+    }
   }
-  const bool materialize = !data->summaries.empty() &&
-                           data->summaries.size() == data->segments.size();
-  const size_t chunk = std::max<size_t>(options_.slab_block_segments, 1);
-  for (size_t begin = 0; begin < data->segments.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, data->segments.size());
+  // Swap every owned payload for a slab lease; the block's fences and
+  // aggregates carry over unchanged.
+  for (BlockPtr& block : data->sealed) {
+    if (block->leased()) continue;
     BufferWriter payload;
-    payload.WriteVarint(end - begin);
-    auto block = std::make_shared<ColdBlock>();
-    block->count = static_cast<uint32_t>(end - begin);
-    block->has_summaries = materialize;
-    for (size_t i = begin; i < end; ++i) {
-      const Segment& segment = data->segments[i];
+    payload.WriteVarint(block->count);
+    for (const Segment& segment : block->segments) {
       segment.SerializeTo(&payload);
-      block->min_start_time =
-          std::min(block->min_start_time, segment.start_time);
-      block->max_end_time = std::max(block->max_end_time, segment.end_time);
-      block->min_value = std::min(block->min_value, segment.min_value);
-      block->max_value = std::max(block->max_value, segment.max_value);
-      if (materialize) block->summaries.push_back(data->summaries[i]);
     }
-    std::vector<uint8_t> bytes = payload.Finish();
-    MODELARDB_ASSIGN_OR_RETURN(block->slab_id, slab_->StageBlock(bytes, gid));
-    MODELARDB_ASSIGN_OR_RETURN(block->lease,
-                               slab_->LeaseBlock(block->slab_id));
-    data->cold.push_back(std::move(block));
+    MODELARDB_ASSIGN_OR_RETURN(uint64_t id,
+                               slab_->StageBlock(payload.Finish(), gid));
+    MODELARDB_ASSIGN_OR_RETURN(SlabFile::BlockLease lease,
+                               slab_->LeaseBlock(id));
+    auto leased = std::make_shared<SealedBlock>();
+    static_cast<BlockIndex&>(*leased) = *block;  // Kept, not recomputed.
+    leased->slab_id = id;
+    leased->lease = std::move(lease);
+    block = std::move(leased);
   }
-  data->segments.clear();
-  data->segments.shrink_to_fit();
-  data->summaries.clear();
-  data->summaries.shrink_to_fit();
-  data->blocks.clear();
-  RecomputeColdSuffixFences(&data->cold);
+  UpdateSuffixFences(data, 0);
   return Status::OK();
 }
 
-Status SegmentStore::RewriteGroupLocked(GroupData* data) {
-  std::vector<Segment> cold_segments;
-  std::vector<SegmentSummary> cold_summaries;
-  for (const std::shared_ptr<const ColdBlock>& block : data->cold) {
-    MODELARDB_RETURN_NOT_OK(MaterializeColdBlock(
-        slab_.get(), *block, &cold_segments, &cold_summaries));
-    MODELARDB_RETURN_NOT_OK(slab_->FreeBlock(block->slab_id));
-  }
-  data->cold.clear();
-  const bool want_summaries = MaterializeFor(data->gid);
-  if (want_summaries) {
-    int group_size = GroupSizeOf(data->gid);
-    for (size_t i = 0; i < cold_segments.size(); ++i) {
-      if (!cold_summaries[i].valid()) {
-        cold_summaries[i] = BuildSummary(cold_segments[i], group_size);
-      }
-    }
-  }
-  std::vector<Segment> merged;
-  merged.reserve(cold_segments.size() + data->segments.size());
-  std::vector<SegmentSummary> merged_summaries;
-  if (want_summaries) merged_summaries.reserve(merged.capacity());
-  size_t ci = 0, hi = 0;
-  while (ci < cold_segments.size() || hi < data->segments.size()) {
-    const bool take_cold =
-        hi >= data->segments.size() ||
-        (ci < cold_segments.size() &&
-         SegmentLess(cold_segments[ci], data->segments[hi]));
-    if (take_cold) {
-      if (want_summaries) merged_summaries.push_back(cold_summaries[ci]);
-      merged.push_back(std::move(cold_segments[ci++]));
-    } else {
-      if (want_summaries) merged_summaries.push_back(data->summaries[hi]);
-      merged.push_back(std::move(data->segments[hi++]));
-    }
-  }
-  data->segments = std::move(merged);
-  data->summaries = std::move(merged_summaries);
-  data->blocks.clear();
-  return Status::OK();
-}
-
+// Cold index v2, per group: gid, block count, then per block its slab id,
+// count, fences (min StartTime, last key, value zone map), pre-folded
+// per-position aggregates iff has_summaries, and the per-segment summaries
+// — their width written once per block when every summary shares it.
 std::vector<uint8_t> SegmentStore::SerializeColdIndex() const {
   BufferWriter writer;
-  writer.WriteVarint(1);  // Version.
+  writer.WriteVarint(kColdIndexVersion);
   size_t group_count = 0;
   for (const auto& [gid, slot] : index_) {
-    if (slot.data && !slot.data->cold.empty()) ++group_count;
+    if (slot.data && !slot.data->sealed.empty()) ++group_count;
   }
   writer.WriteVarint(group_count);
   for (const auto& [gid, slot] : index_) {
-    if (!slot.data || slot.data->cold.empty()) continue;
+    if (!slot.data || slot.data->sealed.empty()) continue;
     writer.WriteVarint(static_cast<uint64_t>(static_cast<uint32_t>(gid)));
-    writer.WriteVarint(slot.data->cold.size());
-    for (const std::shared_ptr<const ColdBlock>& block : slot.data->cold) {
+    writer.WriteVarint(slot.data->sealed.size());
+    for (const BlockPtr& block : slot.data->sealed) {
       writer.WriteVarint(block->slab_id);
       writer.WriteVarint(block->count);
       writer.WriteI64(block->min_start_time);
       writer.WriteI64(block->max_end_time);
+      writer.WriteVarint(block->last_gap_mask);
       writer.WriteFloat(block->min_value);
       writer.WriteFloat(block->max_value);
       writer.WriteU8(block->has_summaries ? 1 : 0);
       if (block->has_summaries) {
-        for (const SegmentSummary& summary : block->summaries) {
-          writer.WriteVarint(summary.agg.size());
-          for (double v : summary.agg) writer.WriteDouble(v);
+        writer.WriteVarint(block->counts.size());
+        for (size_t pos = 0; pos < block->counts.size(); ++pos) {
+          writer.WriteVarint(static_cast<uint64_t>(block->counts[pos]));
+          writer.WriteDouble(block->sums[pos]);
+          writer.WriteDouble(block->mins[pos]);
+          writer.WriteDouble(block->maxs[pos]);
         }
+      }
+      const std::vector<SegmentSummary>& summaries = block->summaries;
+      writer.WriteVarint(summaries.size());
+      if (summaries.empty()) continue;
+      const size_t width = summaries[0].agg.size();
+      const bool uniform = std::all_of(
+          summaries.begin(), summaries.end(),
+          [width](const SegmentSummary& s) { return s.agg.size() == width; });
+      // 0: each summary carries its width; else the shared width + 1 (a
+      // block of invalid summaries shares width 0).
+      writer.WriteVarint(uniform ? width + 1 : 0);
+      for (const SegmentSummary& summary : summaries) {
+        if (!uniform) writer.WriteVarint(summary.agg.size());
+        for (double v : summary.agg) writer.WriteDouble(v);
       }
     }
   }
@@ -774,22 +836,20 @@ Status SegmentStore::LoadColdIndex() {
                              slab_->ReadBlock(cold_index_block_id_));
   BufferReader reader(pin.bytes());
   MODELARDB_ASSIGN_OR_RETURN(uint64_t version, reader.ReadVarint());
-  if (version != 1) {
-    return Status::Corruption("unknown cold index version " +
-                              std::to_string(version));
+  if (version != kColdIndexVersion) {
+    return Status::NotImplemented(
+        "cold index version " + std::to_string(version) + " in " + SlabPath() +
+        " is not readable (this build reads version " +
+        std::to_string(kColdIndexVersion) + ")");
   }
   MODELARDB_ASSIGN_OR_RETURN(uint64_t group_count, reader.ReadVarint());
   for (uint64_t g = 0; g < group_count; ++g) {
     MODELARDB_ASSIGN_OR_RETURN(uint64_t gid_raw, reader.ReadVarint());
     Gid gid = static_cast<Gid>(static_cast<uint32_t>(gid_raw));
     MODELARDB_ASSIGN_OR_RETURN(uint64_t block_count, reader.ReadVarint());
-    GroupSlot& slot = index_[gid];
-    if (!slot.data) {
-      slot.data = std::make_shared<GroupData>();
-      slot.data->gid = gid;
-    }
+    GroupSlot& slot = SlotFor(gid);
     for (uint64_t b = 0; b < block_count; ++b) {
-      auto block = std::make_shared<ColdBlock>();
+      auto block = std::make_shared<SealedBlock>();
       MODELARDB_ASSIGN_OR_RETURN(block->slab_id, reader.ReadVarint());
       MODELARDB_ASSIGN_OR_RETURN(block->lease,
                                  slab_->LeaseBlock(block->slab_id));
@@ -797,61 +857,48 @@ Status SegmentStore::LoadColdIndex() {
       block->count = static_cast<uint32_t>(count);
       MODELARDB_ASSIGN_OR_RETURN(block->min_start_time, reader.ReadI64());
       MODELARDB_ASSIGN_OR_RETURN(block->max_end_time, reader.ReadI64());
+      MODELARDB_ASSIGN_OR_RETURN(block->last_gap_mask, reader.ReadVarint());
       MODELARDB_ASSIGN_OR_RETURN(block->min_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(block->max_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(uint8_t has_summaries, reader.ReadU8());
       block->has_summaries = has_summaries != 0;
       if (block->has_summaries) {
-        block->summaries.resize(block->count);
-        for (uint32_t i = 0; i < block->count; ++i) {
-          MODELARDB_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          block->summaries[i].agg.resize(n);
-          for (uint64_t j = 0; j < n; ++j) {
-            MODELARDB_ASSIGN_OR_RETURN(block->summaries[i].agg[j],
-                                       reader.ReadDouble());
+        MODELARDB_ASSIGN_OR_RETURN(uint64_t positions, reader.ReadVarint());
+        for (uint64_t pos = 0; pos < positions; ++pos) {
+          MODELARDB_ASSIGN_OR_RETURN(uint64_t points, reader.ReadVarint());
+          block->counts.push_back(static_cast<int64_t>(points));
+          for (std::vector<double>* lane :
+               {&block->sums, &block->mins, &block->maxs}) {
+            MODELARDB_ASSIGN_OR_RETURN(double v, reader.ReadDouble());
+            lane->push_back(v);
+          }
+        }
+      }
+      MODELARDB_ASSIGN_OR_RETURN(uint64_t summaries, reader.ReadVarint());
+      if (summaries != 0 && summaries != count) {
+        return Status::Corruption("cold index block " +
+                                  std::to_string(block->slab_id) +
+                                  " has a summary count unlike its size");
+      }
+      if (summaries > 0) {
+        MODELARDB_ASSIGN_OR_RETURN(uint64_t shared, reader.ReadVarint());
+        block->summaries.resize(summaries);
+        for (SegmentSummary& summary : block->summaries) {
+          uint64_t n = shared - 1;
+          if (shared == 0) {
+            MODELARDB_ASSIGN_OR_RETURN(n, reader.ReadVarint());
+          }
+          summary.agg.resize(n);
+          for (double& v : summary.agg) {
+            MODELARDB_ASSIGN_OR_RETURN(v, reader.ReadDouble());
           }
         }
       }
       num_segments_.fetch_add(block->count, std::memory_order_relaxed);
-      slot.data->cold.push_back(std::move(block));
+      slot.data->sealed.push_back(std::move(block));
     }
-    RecomputeColdSuffixFences(&slot.data->cold);
+    UpdateSuffixFences(slot.data.get(), 0);
   }
-  return Status::OK();
-}
-
-void SegmentStore::RecomputeColdSuffixFences(
-    std::vector<std::shared_ptr<const ColdBlock>>* cold) {
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = cold->size(); i-- > 0;) {
-    suffix = std::min(suffix, (*cold)[i]->min_start_time);
-    if ((*cold)[i]->suffix_min_start_time != suffix) {
-      // Blocks may be shared with an older COW snapshot: clone, never
-      // mutate in place.
-      auto copy = std::make_shared<ColdBlock>(*(*cold)[i]);
-      copy->suffix_min_start_time = suffix;
-      (*cold)[i] = std::move(copy);
-    }
-  }
-}
-
-Status SegmentStore::MaterializeColdBlock(
-    SlabFile* slab, const ColdBlock& cold, std::vector<Segment>* segments,
-    std::vector<SegmentSummary>* summaries) const {
-  MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin, slab->ReadBlock(cold.slab_id));
-  BufferReader reader(pin.bytes());
-  MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-  for (uint64_t i = 0; i < count; ++i) {
-    // Owned deserialization: these copies outlive the pin.
-    MODELARDB_ASSIGN_OR_RETURN(Segment segment, Segment::Deserialize(&reader));
-    segments->push_back(std::move(segment));
-    if (summaries != nullptr) {
-      summaries->push_back(cold.has_summaries && i < cold.summaries.size()
-                               ? cold.summaries[i]
-                               : SegmentSummary{});
-    }
-  }
-  SlabCopiedScanBytes().Add(static_cast<int64_t>(pin.bytes().size()));
   return Status::OK();
 }
 
@@ -866,10 +913,7 @@ std::vector<SegmentStore::Snapshot> SegmentStore::SnapshotsFor(
   MutexLock lock(mutex_);
   if (slab != nullptr) *slab = slab_;
   auto grab = [&](GroupSlot& slot) {
-    if (!slot.data ||
-        (slot.data->segments.empty() && slot.data->cold.empty())) {
-      return;
-    }
+    if (!slot.data || slot.data->num_blocks() == 0) return;
     slot.snapshotted = true;
     snapshots.push_back(slot.data);
   };
@@ -886,198 +930,66 @@ std::vector<SegmentStore::Snapshot> SegmentStore::SnapshotsFor(
   return snapshots;
 }
 
-Status SegmentStore::ScanGroupCold(SlabFile* slab, const GroupData& group,
-                                   const SegmentFilter& filter,
-                                   const IndexedScanCallbacks& callbacks,
-                                   ScanStats* stats) const {
-  for (size_t b = 0; b < group.cold.size(); ++b) {
-    const ColdBlock& block = *group.cold[b];
-    if (block.suffix_min_start_time > filter.max_time) {
-      // No segment in this or any later cold block starts early enough;
-      // the hot tail has its own fences and is checked by the caller.
-      stats->blocks_skipped += static_cast<int64_t>(group.cold.size() - b);
-      break;
-    }
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      ++stats->blocks_skipped;
-      continue;
-    }
-    // Zero-copy delivery: segments are deserialized with borrowed
-    // parameter views into the pinned mapping; callbacks that keep a
-    // Segment copy deep-copy the parameters (ParamBytes copy semantics).
-    MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin,
-                               slab->ReadBlock(block.slab_id));
-    BufferReader reader(pin.bytes());
-    MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-    ++stats->blocks_scanned;
-    ++stats->cold_pins;
-    for (uint64_t i = 0; i < count; ++i) {
-      MODELARDB_ASSIGN_OR_RETURN(Segment segment,
-                                 Segment::DeserializeBorrowed(&reader));
-      if (!filter.Matches(segment)) continue;
-      ++stats->segments_scanned;
-      const SegmentSummary* summary =
-          block.has_summaries && i < block.summaries.size()
-              ? &block.summaries[i]
-              : nullptr;
-      MODELARDB_RETURN_NOT_OK(callbacks.on_segment(segment, summary));
-    }
-  }
-  return Status::OK();
-}
-
-Status SegmentStore::ScanGroupMerged(SlabFile* slab, const GroupData& group,
-                                     const SegmentFilter& filter,
-                                     const IndexedScanCallbacks& callbacks,
-                                     ScanStats* stats) const {
-  // Out-of-order puts since the last checkpoint broke the "cold strictly
-  // before hot" clustering split, so per-group EndTime delivery order
-  // needs a real merge: materialize the cold segments (the copying slow
-  // path — counted in modelardb_slab_copied_scan_bytes_total) and walk
-  // both runs with two cursors. The next checkpoint rewrites the group
-  // and restores the fast path.
-  std::vector<Segment> cold_segments;
-  std::vector<SegmentSummary> cold_summaries;
-  for (const std::shared_ptr<const ColdBlock>& block : group.cold) {
-    MODELARDB_RETURN_NOT_OK(MaterializeColdBlock(slab, *block, &cold_segments,
-                                                 &cold_summaries));
-  }
-  stats->blocks_scanned += static_cast<int64_t>(group.cold.size());
-  stats->blocks_scanned += static_cast<int64_t>(group.blocks.size());
-  stats->cold_pins += static_cast<int64_t>(group.cold.size());
-  size_t ci = 0, hi = 0;
-  while (ci < cold_segments.size() || hi < group.segments.size()) {
-    const bool take_cold =
-        hi >= group.segments.size() ||
-        (ci < cold_segments.size() &&
-         SegmentLess(cold_segments[ci], group.segments[hi]));
-    const Segment& segment =
-        take_cold ? cold_segments[ci] : group.segments[hi];
-    const SegmentSummary* summary = nullptr;
-    if (take_cold) {
-      if (cold_summaries[ci].valid()) summary = &cold_summaries[ci];
-      ++ci;
-    } else {
-      if (!group.summaries.empty()) summary = &group.summaries[hi];
-      ++hi;
-    }
-    if (!filter.Matches(segment)) continue;
-    ++stats->segments_scanned;
-    if (!take_cold) ++stats->hot_pins;
-    MODELARDB_RETURN_NOT_OK(callbacks.on_segment(segment, summary));
-  }
-  return Status::OK();
-}
-
 Status SegmentStore::ScanIndexed(const SegmentFilter& filter,
                                  const IndexedScanCallbacks& callbacks,
                                  ScanStats* stats) const {
-  ScanStats local;
-  if (stats == nullptr) stats = &local;
-  // Delta against the caller's (possibly pre-populated) stats, so only
-  // this scan's counts feed the cumulative metrics below.
-  const ScanStats before = *stats;
+  // This scan's counts alone feed the cumulative metrics, whatever the
+  // caller's stats already hold.
+  ScanStats scan;
   // The lock is only held inside SnapshotsFor; everything below runs
-  // lock-free on the immutable snapshots (cold reads pin the slab mapping).
+  // lock-free on the immutable snapshots (leased payloads pin the slab).
   std::shared_ptr<SlabFile> slab;
   for (const Snapshot& snapshot : SnapshotsFor(filter, &slab)) {
     const GroupData& group = *snapshot;
-    if (!group.cold.empty()) {
-      if (slab == nullptr) {
-        return Status::IOError("cold blocks present without a slab file");
-      }
-      const bool overlap =
-          !group.segments.empty() &&
-          group.segments.front().end_time <= group.cold.back()->max_end_time;
-      if (overlap) {
-        MODELARDB_RETURN_NOT_OK(
-            ScanGroupMerged(slab.get(), group, filter, callbacks, stats));
-        continue;  // The merge delivered the hot tail too.
-      }
-      MODELARDB_RETURN_NOT_OK(
-          ScanGroupCold(slab.get(), group, filter, callbacks, stats));
-      if (group.segments.empty()) continue;
-    }
-    if (group.blocks.empty()) {
-      // No index: the pre-index scan path (binary search to the first
-      // EndTime candidate, then filter every remaining segment).
-      auto it = std::lower_bound(
-          group.segments.begin(), group.segments.end(), filter.min_time,
-          [](const Segment& s, Timestamp t) { return s.end_time < t; });
-      for (; it != group.segments.end(); ++it) {
-        if (!filter.Matches(*it)) continue;
-        ++stats->segments_scanned;
-        ++stats->hot_pins;
-        size_t i = static_cast<size_t>(it - group.segments.begin());
-        const SegmentSummary* summary =
-            group.summaries.empty() ? nullptr : &group.summaries[i];
-        MODELARDB_RETURN_NOT_OK(callbacks.on_segment(*it, summary));
-      }
-      continue;
-    }
-    // Clustering on end_time: binary search to the first candidate block.
-    size_t b = static_cast<size_t>(
-        std::lower_bound(group.blocks.begin(), group.blocks.end(),
-                         filter.min_time,
-                         [](const SegmentBlock& block, Timestamp t) {
-                           return block.max_end_time < t;
-                         }) -
-        group.blocks.begin());
-    stats->blocks_skipped += static_cast<int64_t>(b);
-    for (; b < group.blocks.size(); ++b) {
-      const SegmentBlock& block = group.blocks[b];
-      if (block.suffix_min_start_time > filter.max_time) {
+    const size_t n = group.num_blocks();
+    // Clustering on EndTime: binary search to the first candidate block.
+    size_t b = FirstBlockNot(group, [&](const SealedBlock& block) {
+      return block.max_end_time < filter.min_time;
+    });
+    scan.blocks_skipped += static_cast<int64_t>(b);
+    for (; b < n; ++b) {
+      const SealedBlock& block = group.block(b);
+      if (group.suffix_min_start[b] > filter.max_time) {
         // No segment in this or any later block can start early enough:
-        // stop the group's scan (the tail-scan fix).
-        stats->blocks_skipped +=
-            static_cast<int64_t>(group.blocks.size() - b);
+        // stop the group's scan.
+        scan.blocks_skipped += static_cast<int64_t>(n - b);
         break;
       }
       if (block.min_start_time > filter.max_time) {
-        ++stats->blocks_skipped;
+        ++scan.blocks_skipped;
         continue;
       }
+      BlockView view;
+      view.gid = group.gid;
+      view.block = &block;
+      view.slab = slab.get();
+      view.stats = &scan;
       const bool covered = block.min_start_time >= filter.min_time &&
                            block.max_end_time <= filter.max_time;
-      const SegmentSummary* summaries =
-          group.summaries.empty() ? nullptr : group.summaries.data();
       if (covered && block.has_summaries && callbacks.on_covered_block) {
-        BlockView view;
-        view.gid = group.gid;
-        view.block = &block;
-        view.segments = group.segments.data() + block.begin;
-        view.summaries =
-            summaries == nullptr ? nullptr : summaries + block.begin;
-        BlockAction action = callbacks.on_covered_block(view);
+        MODELARDB_ASSIGN_OR_RETURN(BlockAction action,
+                                   callbacks.on_covered_block(view));
         if (action == BlockAction::kSummarized) {
-          ++stats->blocks_summarized;
+          ++scan.blocks_summarized;
           continue;
         }
         if (action == BlockAction::kSkipped) {
-          ++stats->blocks_skipped;
+          ++scan.blocks_skipped;
           continue;
         }
       }
-      ++stats->blocks_scanned;
-      for (uint32_t i = block.begin; i < block.end; ++i) {
-        const Segment& segment = group.segments[i];
-        if (!filter.Matches(segment)) continue;
-        ++stats->segments_scanned;
-        ++stats->hot_pins;
-        MODELARDB_RETURN_NOT_OK(callbacks.on_segment(
-            segment, summaries == nullptr ? nullptr : &summaries[i]));
-      }
+      ++scan.blocks_scanned;
+      MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
+          [&](const Segment& segment, const SegmentSummary* summary) {
+            if (!filter.Matches(segment)) return Status::OK();
+            ++scan.segments_scanned;
+            if (!block.leased()) ++scan.hot_pins;
+            return callbacks.on_segment(segment, summary);
+          }));
     }
   }
-  ScanStats delta = *stats;
-  delta.blocks_skipped -= before.blocks_skipped;
-  delta.blocks_summarized -= before.blocks_summarized;
-  delta.blocks_scanned -= before.blocks_scanned;
-  delta.segments_scanned -= before.segments_scanned;
-  delta.cold_pins -= before.cold_pins;
-  delta.hot_pins -= before.hot_pins;
-  RecordScanStats(delta);
+  RecordScanStats(scan);
+  if (stats != nullptr) stats->Merge(scan);
   return Status::OK();
 }
 
@@ -1092,46 +1004,23 @@ Status SegmentStore::Scan(
 
 int64_t SegmentStore::EstimateSurvivingSegments(
     Gid gid, const SegmentFilter& filter) const {
-  Snapshot snapshot;
-  {
-    MutexLock lock(mutex_);
-    auto it = index_.find(gid);
-    if (it == index_.end() || !it->second.data) return 0;
-    // Mark the slot snapshotted exactly as SnapshotsFor does: writers only
-    // copy-on-write when the flag is set, so without it a concurrent Put
-    // would mutate the GroupData this estimate iterates lock-free.
-    it->second.snapshotted = true;
-    snapshot = it->second.data;
-  }
-  const GroupData& group = *snapshot;
+  SegmentFilter one;
+  one.gids = {gid};
+  const std::vector<Snapshot> snapshots = SnapshotsFor(one, nullptr);
+  if (snapshots.empty()) return 0;
+  const GroupData& group = *snapshots.front();
   int64_t estimate = 0;
-  // Cold blocks estimate from their persisted fences — no page touched.
-  for (const std::shared_ptr<const ColdBlock>& cold : group.cold) {
-    const ColdBlock& block = *cold;
-    if (block.suffix_min_start_time > filter.max_time) break;
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      continue;
+  // Fences only: no payload is read, leased or owned. Partially covered
+  // blocks count in full — scheduling weights and EXPLAIN estimates only
+  // need fence precision.
+  size_t b = FirstBlockNot(group, [&](const SealedBlock& block) {
+    return block.max_end_time < filter.min_time;
+  });
+  for (; b < group.num_blocks(); ++b) {
+    if (group.suffix_min_start[b] > filter.max_time) break;
+    if (group.block(b).min_start_time <= filter.max_time) {
+      estimate += group.block(b).count;
     }
-    estimate += block.count;
-  }
-  if (group.blocks.empty()) {
-    auto it = std::lower_bound(
-        group.segments.begin(), group.segments.end(), filter.min_time,
-        [](const Segment& s, Timestamp t) { return s.end_time < t; });
-    return estimate + static_cast<int64_t>(group.segments.end() - it);
-  }
-  for (const SegmentBlock& block : group.blocks) {
-    if (block.suffix_min_start_time > filter.max_time) break;
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      continue;
-    }
-    // Upper bound: partially covered blocks count in full. Scheduling
-    // weights and EXPLAIN estimates only need fence precision; filtering
-    // every segment of a straddling block would make the estimate itself
-    // proportional to the data.
-    estimate += block.size();
   }
   return estimate;
 }

@@ -18,16 +18,17 @@
 // memory — the paper co-locates storage and query processing for locality
 // (Fig 4).
 //
-// On top of the per-group segment vectors the store maintains a two-level
-// *segment summary index* (the "model-exploiting index" the paper defers
-// to future work, §9 item i): segments are bucketed into fixed-size blocks
-// in EndTime clustering order, and every block carries time fences, a
-// value zone map and gap-aware pre-folded aggregates, while every segment
-// carries its materialized full-range per-column aggregates (computed with
-// SegmentDecoder::AggregateRange at Put/replay time). Scans skip blocks by
-// fence, stop early on the suffix-min StartTime fence, and aggregate
-// queries answer fully covered blocks from the summaries without creating
-// a single decoder. See DESIGN.md "Segment summary index".
+// A group's segments live in *sealed blocks* of at most `block_size`
+// segments, each carrying time fences, a value zone map, gap-aware
+// pre-folded aggregates and one full-range SegmentSummary per segment (the
+// "model-exploiting index" the paper defers to future work, §9 item i). A
+// block's payload is owned segments (hot) or a slab lease (checkpointed);
+// one scan loop serves both, answering aggregates without a decoder. Puts
+// append to the group's unsealed tail, which seals when full; an
+// out-of-order put rewrites the one block it lands in. Checkpoint() swaps
+// owned payloads for leases and writes the blocks' indexes to a v2 cold
+// index, so a reopen reads no data pages; the WAL prefix it covers is
+// still kept. See DESIGN.md §3c and §3h.
 
 #ifndef MODELARDB_STORAGE_SEGMENT_STORE_H_
 #define MODELARDB_STORAGE_SEGMENT_STORE_H_
@@ -64,9 +65,10 @@ struct SegmentStoreOptions {
   size_t wal_sync_every_n_blocks = 8;
   // Segments buffered before a bulk write to disk.
   size_t bulk_write_size = 50000;
-  // Segments per summary-index block; 0 disables the index entirely
-  // (fences, summaries and block skipping — the pre-index scan path).
-  size_t index_block_size = 256;
+  // Segments per sealed block: the unit of fence pruning, summary
+  // consumption and slab I/O, for hot and checkpointed data alike. Open
+  // rejects 0.
+  size_t block_size = 256;
   // Decoder registry used to materialize per-segment aggregates at Put /
   // replay time. Null keeps the index fence-only: blocks still skip and
   // stop scans early, but aggregate queries decode every segment.
@@ -78,12 +80,10 @@ struct SegmentStoreOptions {
   // Checkpoint flushed segments into the mmap-backed slab file
   // (segments.slab, storage/slab_file.h) every N bulk flushes. 0 disables
   // automatic checkpoints (Checkpoint() still works); an existing slab is
-  // always loaded by Open regardless. Checkpointed segments are served to
+  // always loaded by Open regardless. Checkpointed blocks are served to
   // scans zero-copy from the mapping, and Open replays only the WAL suffix
   // past the slab's watermark.
   size_t slab_checkpoint_every_n_flushes = 0;
-  // Segments per slab block (the cold unit of fence pruning and I/O).
-  size_t slab_block_segments = 1024;
   // Crash-test hook: called (under the store lock) at every checkpoint
   // phase boundary, right after the matching flight-recorder event is
   // emitted. tools/crash_writer --bundle aborts from here to prove the
@@ -115,7 +115,7 @@ struct ScanStats {
   int64_t bytes_decoded = 0;      // Segment parameter bytes decoded
                                   // (query-engine side).
   int64_t cold_pins = 0;          // Slab block pins taken (zero-copy scans
-                                  // and materializing merges).
+                                  // and covered-block SUM folds).
   int64_t hot_pins = 0;           // Segments served from snapshot-pinned
                                   // in-memory group data.
   int64_t cpu_ns = 0;             // Thread-CPU time across the query's
@@ -152,24 +152,21 @@ struct SegmentSummary {
   double max(int col) const { return agg[3 * col + 2]; }
 };
 
-// Fences and pre-folded aggregates over one block of a group's segments
-// ([begin, end) in EndTime clustering order).
-struct SegmentBlock {
-  uint32_t begin = 0;
-  uint32_t end = 0;
+// What a block knows about its segments without reading its payload:
+// everything a scan prunes and folds with, and what the cold index keeps.
+struct BlockIndex {
+  uint32_t count = 0;
   Timestamp min_start_time = std::numeric_limits<Timestamp>::max();
+  // The last segment's clustering key is (max_end_time, last_gap_mask):
+  // puts find the block they land in without reading its payload.
   Timestamp max_end_time = std::numeric_limits<Timestamp>::min();
-  // Smallest start_time of this block and every later block of the group.
-  // Monotonically non-decreasing across blocks, so a scan can stop as soon
-  // as it exceeds the query's max_time (start_time alone is not monotone
-  // in EndTime order when segment lengths vary).
-  Timestamp suffix_min_start_time = std::numeric_limits<Timestamp>::max();
+  uint64_t last_gap_mask = 0;
   // Zone map over the segments' value statistics (stored units, over every
   // represented series — the same statistics RelateStats prunes with).
   float min_value = std::numeric_limits<float>::max();
   float max_value = std::numeric_limits<float>::lowest();
-  // True when every segment in the block has a valid SegmentSummary and
-  // the per-position arrays below are populated.
+  // True when every segment has a valid SegmentSummary and the
+  // per-position arrays below are populated.
   bool has_summaries = false;
   // Gap-aware pre-folded aggregates per group position (only segments that
   // represent the position contribute). counts are exact point counts;
@@ -180,16 +177,65 @@ struct SegmentBlock {
   std::vector<double> sums;
   std::vector<double> mins;
   std::vector<double> maxs;
-
-  uint32_t size() const { return end - begin; }
+  // One per segment when the group materializes summaries (entries may be
+  // invalid); empty otherwise. Scans hand them out non-null iff present.
+  std::vector<SegmentSummary> summaries;
 };
 
-// A fully time-covered block handed to IndexedScanCallbacks.
+// One immutable block of a group's segments in (EndTime, Gaps) clustering
+// order. Sealed blocks are shared between copy-on-write copies of a group
+// and never change; the group's unsealed tail (the same type, fewer than
+// block_size segments, private to one group copy) is the only block that
+// is appended to. The payload is owned segments, or (after a checkpoint)
+// slab block `slab_id` (slab ids start at 1), kept readable by `lease` for
+// as long as any snapshot holds the block.
+struct SealedBlock : BlockIndex {
+  std::vector<Segment> segments;
+  uint64_t slab_id = 0;
+  SlabFile::BlockLease lease;
+
+  bool leased() const { return slab_id != 0; }
+};
+
+// One block handed to a scan consumer.
 struct BlockView {
   Gid gid = 0;
-  const SegmentBlock* block = nullptr;
-  const Segment* segments = nullptr;          // block->size() of them.
-  const SegmentSummary* summaries = nullptr;  // Parallel; null if absent.
+  const SealedBlock* block = nullptr;
+  SlabFile* slab = nullptr;     // Serves a leased payload.
+  ScanStats* stats = nullptr;   // Counts the pin a leased payload takes.
+
+  // Visits the block's segments in order with their summaries:
+  // fn(const Segment&, const SegmentSummary*) -> Status. A leased payload
+  // is pinned for the duration of the call and its segments borrow their
+  // parameters from the mapping (a Segment copy deep-copies them).
+  template <typename Fn>
+  Status ForEachSegment(Fn&& fn) const {
+    const uint32_t count = block->count;
+    const SegmentSummary* summaries =
+        block->summaries.empty() ? nullptr : block->summaries.data();
+    if (!block->leased()) {
+      const Segment* segments = block->segments.data();
+      for (uint32_t i = 0; i < count; ++i) {
+        MODELARDB_RETURN_NOT_OK(
+            fn(segments[i], summaries ? summaries + i : nullptr));
+      }
+      return Status::OK();
+    }
+    SlabFile::Pin pin;
+    BufferReader reader(nullptr, 0);
+    MODELARDB_RETURN_NOT_OK(PinPayload(&pin, &reader));
+    for (uint32_t i = 0; i < count; ++i) {
+      MODELARDB_ASSIGN_OR_RETURN(Segment segment,
+                                 Segment::DeserializeBorrowed(&reader));
+      MODELARDB_RETURN_NOT_OK(
+          fn(segment, summaries ? summaries + i : nullptr));
+    }
+    return Status::OK();
+  }
+
+ private:
+  // Pins the leased payload and positions `reader` on its first segment.
+  Status PinPayload(SlabFile::Pin* pin, BufferReader* reader) const;
 };
 
 // What the consumer decided to do with a fully covered block.
@@ -202,9 +248,9 @@ enum class BlockAction {
 struct IndexedScanCallbacks {
   // Called for blocks whose segments all lie inside the time filter and
   // that carry summaries. Null: every block falls back to on_segment.
-  std::function<BlockAction(const BlockView&)> on_covered_block;
-  // Called per matching segment of fallback/partial blocks (and of groups
-  // without an index). `summary` is non-null iff materialized.
+  std::function<Result<BlockAction>(const BlockView&)> on_covered_block;
+  // Called per matching segment of fallback/partial blocks. `summary` is
+  // non-null iff materialized.
   std::function<Status(const Segment&, const SegmentSummary*)> on_segment;
 };
 
@@ -220,11 +266,12 @@ struct RecoveryInfo {
 
 // Thread-safety: Put/Flush/Scan may be called concurrently. Scans are
 // snapshot-based: the lock is held only while grabbing copy-on-write
-// references to the matching per-group data (segments + summary index);
-// iterate/aggregate callbacks then run lock-free on that immutable
+// references to the matching per-group data (sealed block pointers + the
+// tail); iterate/aggregate callbacks then run lock-free on that immutable
 // snapshot, so concurrent PutBatch from ingestion never blocks a running
 // query (the online analytics scenario of Fig 13). Writers copy a group's
-// data before mutating it iff a live snapshot may still reference it.
+// data (pointers and the tail) before mutating it iff a live snapshot may
+// still reference it.
 class SegmentStore {
  public:
   // Opens (and replays) the store at options.directory, or an in-memory
@@ -250,12 +297,11 @@ class SegmentStore {
   // (completes a pending group commit under kEveryNBlocks / kNone).
   Status SyncWal();
 
-  // Moves every in-memory (hot) segment into the slab file with one atomic
-  // root flip and advances the WAL watermark, so the next Open replays only
-  // the WAL suffix written after this call. Flushes the write buffer first.
-  // No-op for in-memory stores. Scans keep working throughout: cold blocks
-  // are served zero-copy from the mapping, hot segments from memory, and
-  // results are byte-identical to the heap path.
+  // Seals every group's tail and moves every owned block payload into the
+  // slab file with one atomic root flip, then advances the WAL watermark,
+  // so the next Open replays only the WAL suffix written after this call.
+  // Flushes the write buffer first. No-op for in-memory stores. Scans keep
+  // working throughout, and results are byte-identical to the hot path.
   Status Checkpoint();
 
   // Stats of the slab file backing cold segments (zeros when none exists).
@@ -311,42 +357,31 @@ class SegmentStore {
   std::vector<Gid> Gids() const;
 
  private:
-  // One checkpointed block of a group's segments, resident in the slab
-  // file. Carries the same fences/zone map as a hot SegmentBlock plus the
-  // per-segment summaries, so cold blocks prune and answer aggregate scans
-  // without touching their (possibly evicted) pages. Immutable once built;
-  // shared between COW copies of the group.
-  struct ColdBlock {
-    uint64_t slab_id = 0;
-    uint32_t count = 0;
-    Timestamp min_start_time = std::numeric_limits<Timestamp>::max();
-    Timestamp max_end_time = std::numeric_limits<Timestamp>::min();
-    // Smallest start_time of this and every later cold block of the group
-    // (hot segments have their own suffix fences).
-    Timestamp suffix_min_start_time = std::numeric_limits<Timestamp>::max();
-    float min_value = std::numeric_limits<float>::max();
-    float max_value = std::numeric_limits<float>::lowest();
-    bool has_summaries = false;
-    std::vector<SegmentSummary> summaries;  // Per segment, iff above.
-    // Keeps the slab block readable (and its extent unreused) for as long
-    // as any GroupData — or scan snapshot of one — references it, even
-    // after a later checkpoint frees the id.
-    SlabFile::BlockLease lease;
-  };
+  using BlockPtr = std::shared_ptr<const SealedBlock>;
 
-  // One group's segments plus its summary index. Immutable from the moment
-  // a snapshot references it; the next write under the store lock replaces
-  // it with a copy (copy-on-write).
+  // One group's sealed blocks plus its unsealed tail. Immutable from the
+  // moment a snapshot references it; the next write under the store lock
+  // replaces it with a copy (copy-on-write), which shares the sealed
+  // blocks and copies only the pointers and the tail.
   struct GroupData {
     Gid gid = 0;
-    // Checkpointed blocks in (end_time, gap_mask) order, all clustering
-    // strictly before `segments` except after out-of-order puts (the scan
-    // falls back to a materializing merge until the next checkpoint).
-    std::vector<std::shared_ptr<const ColdBlock>> cold;
-    std::vector<Segment> segments;  // Hot tail, (end_time, gap_mask) order.
-    // Parallel to `segments` when materialization is on; empty otherwise.
-    std::vector<SegmentSummary> summaries;
-    std::vector<SegmentBlock> blocks;  // Empty when the index is disabled.
+    int width = 0;  // SummaryWidth(gid), fixed for the store's life.
+    std::vector<BlockPtr> sealed;
+    SealedBlock tail;  // Owned payload, fewer than block_size segments.
+    // suffix_min_start[i]: smallest StartTime in block i and every later
+    // block (index sealed.size() is the tail's). Monotonically
+    // non-decreasing, so a scan stops once it passes the query's max_time
+    // (StartTime alone is not monotone in EndTime order). Kept beside the
+    // blocks because it depends on later blocks, and a shared sealed block
+    // never changes.
+    std::vector<Timestamp> suffix_min_start{
+        std::numeric_limits<Timestamp>::max()};
+
+    // Blocks in clustering order: the sealed ones, then a non-empty tail.
+    size_t num_blocks() const { return sealed.size() + (tail.count > 0); }
+    const SealedBlock& block(size_t i) const {
+      return i < sealed.size() ? *sealed[i] : tail;
+    }
   };
   // COW snapshot hand-off (DESIGN.md §3e): both fields are guarded by the
   // store mutex — `snapshotted` is the flag that forces the next writer to
@@ -369,54 +404,57 @@ class SegmentStore {
                             uint64_t base_offset) REQUIRES(mutex_);
   Status WriteBlock(const std::vector<Segment>& segments) REQUIRES(mutex_);
   Status PutLocked(const Segment& segment) REQUIRES(mutex_);
+  // The slot of `gid`, created (with empty group data) if absent.
+  GroupSlot& SlotFor(Gid gid) REQUIRES(mutex_);
+  // Inserts `segment` into `data` in clustering order: appends to the tail
+  // (sealing it when full), or rewrites the one block it lands in.
+  Status InsertLocked(GroupData* data, Segment&& segment) REQUIRES(mutex_);
   Status FlushLocked() REQUIRES(mutex_);
   Status CheckpointLocked() REQUIRES(mutex_);
-  // Stages one group's hot segments into cold slab blocks, mutating `data`
-  // (a private working copy) and the slab's staged state only.
-  Status CheckpointGroupLocked(Gid gid, GroupData* data) REQUIRES(mutex_);
-  // Folds every cold block back into the hot run (out-of-order puts since
-  // the last checkpoint broke the cold/hot clustering split).
-  Status RewriteGroupLocked(GroupData* data) REQUIRES(mutex_);
-  // Reads the slab's cold-index block into the per-group cold lists.
+  // Seals `data`'s tail and stages every owned payload into the slab,
+  // mutating `data` (a private working copy) and the slab's staged state
+  // only. Payloads the copy no longer references are added to `retired`.
+  Status CheckpointGroupLocked(Gid gid, GroupData* data,
+                               std::vector<uint64_t>* retired)
+      REQUIRES(mutex_);
+  // Reads the slab's cold-index block into the per-group sealed lists.
   Status LoadColdIndex() REQUIRES(mutex_);
   std::vector<uint8_t> SerializeColdIndex() const REQUIRES(mutex_);
-  // Reads + deserializes one cold block into owned segments/summaries
-  // (the copying path: merges, checkpoint rewrites).
-  Status MaterializeColdBlock(SlabFile* slab, const ColdBlock& cold,
-                              std::vector<Segment>* segments,
-                              std::vector<SegmentSummary>* summaries) const;
-  // Cold phase of one group's indexed scan (fence skip, early break,
-  // zero-copy per-segment delivery).
-  Status ScanGroupCold(SlabFile* slab, const GroupData& group,
-                       const SegmentFilter& filter,
-                       const IndexedScanCallbacks& callbacks,
-                       ScanStats* stats) const;
-  // Materializing two-cursor merge of cold and hot for groups whose hot
-  // tail overlaps the cold frontier (out-of-order puts since the last
-  // checkpoint).
-  Status ScanGroupMerged(SlabFile* slab, const GroupData& group,
-                         const SegmentFilter& filter,
-                         const IndexedScanCallbacks& callbacks,
-                         ScanStats* stats) const;
-  static void RecomputeColdSuffixFences(
-      std::vector<std::shared_ptr<const ColdBlock>>* cold);
+  // Copies a block's segments (owned deserialization for a leased
+  // payload) and, when the group materializes summaries, one summary per
+  // segment (rebuilding absent ones); `summaries` is left empty otherwise.
+  Status MaterializeBlock(const GroupData& group, const SealedBlock& block,
+                          std::vector<Segment>* segments,
+                          std::vector<SegmentSummary>* summaries) const
+      REQUIRES(mutex_);
   // Grabs (and marks) the snapshots `filter` selects, in ascending Gid
   // order for the empty-gids case and in `filter.gids` order otherwise.
   // `slab` (may be null) receives the store's slab under the same lock.
   std::vector<Snapshot> SnapshotsFor(const SegmentFilter& filter,
                                      std::shared_ptr<SlabFile>* slab) const;
 
-  int GroupSizeOf(Gid gid) const;
-  bool MaterializeFor(Gid gid) const;
+  // The group size when `gid`'s segments carry summaries, else 0: a
+  // registry is set and group_sizes maps the group to 1..64 series (the
+  // gap-aware summaries map gap_mask bits to decoder columns).
+  int SummaryWidth(Gid gid) const;
   // Full-range per-column aggregates of `segment`; empty on any failure.
   SegmentSummary BuildSummary(const Segment& segment, int group_size) const;
-  // Folds segments[index] (appended last) into the block structure.
-  void AppendToIndex(GroupData* data, size_t index) const;
-  // Rebuilds all blocks of `data` (replay, out-of-order inserts).
-  void RebuildBlocks(GroupData* data) const;
-  static void FoldIntoBlock(SegmentBlock* block, const Segment& segment,
-                            const SegmentSummary* summary, int group_size);
-  static void UpdateSuffixFences(std::vector<SegmentBlock>* blocks);
+  // Appends one segment to `block`, folding it into the fences, zone map
+  // and — when `group_size` > 0 — its summary into the pre-folds.
+  static void AppendToBlock(SealedBlock* block, Segment&& segment,
+                            SegmentSummary&& summary, int group_size);
+  // A block of segments[begin, end) (moved out, with their summaries).
+  static SealedBlock BuildBlock(int group_size, std::vector<Segment>* segments,
+                                std::vector<SegmentSummary>* summaries,
+                                size_t begin, size_t end);
+  // Seals a clustering-ordered run into blocks of `chunk` segments.
+  static std::vector<BlockPtr> SealRun(int group_size,
+                                       std::vector<Segment> segments,
+                                       std::vector<SegmentSummary> summaries,
+                                       size_t chunk);
+  // Recomputes suffix_min_start from the last block down, for blocks
+  // changed at index `from` or later.
+  static void UpdateSuffixFences(GroupData* data, size_t from);
 
   SegmentStoreOptions options_;
   Env* env_ = nullptr;  // options_.env or Env::Default(); never null.
@@ -437,7 +475,10 @@ class SegmentStore {
   bool checkpointing_ GUARDED_BY(mutex_) = false;  // Recursion guard.
   // Slab id of the current cold-index block (0: none written yet).
   uint64_t cold_index_block_id_ GUARDED_BY(mutex_) = 0;
-  // Index: per group, segments ordered by end_time (the clustering key).
+  // Committed slab blocks whose segments out-of-order puts moved into
+  // rewritten blocks; freed by the next successful checkpoint.
+  std::vector<uint64_t> retired_slab_ids_ GUARDED_BY(mutex_);
+  // Index: per group, blocks in (end_time, gap_mask) clustering order.
   mutable std::map<Gid, GroupSlot> index_ GUARDED_BY(mutex_);
   std::vector<Segment> write_buffer_ GUARDED_BY(mutex_);
   // Lock-free by design: cheap monotonic counters read by NumSegments() /

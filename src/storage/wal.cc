@@ -49,34 +49,26 @@ void StoreU32(uint32_t v, std::vector<uint8_t>* out) {
   out->insert(out->end(), b, b + sizeof(v));
 }
 
-// True when a structurally valid block starts exactly at `pos`. For v2 the
-// CRC must verify (a strong signal); for v1 the magic must match and the
-// length must fit (the best an unchecksummed format offers).
+// True when a structurally valid block (CRC verified) starts exactly at
+// `pos`.
 bool ValidBlockAt(const uint8_t* data, size_t size, size_t pos) {
-  if (size - pos < kWalHeaderV1) return false;
-  const uint32_t magic = LoadU32(data + pos);
-  if (magic == kWalMagicV2) {
-    if (size - pos < kWalHeaderV2) return false;
-    const uint32_t length = LoadU32(data + pos + 4);
-    if (length > size - pos - kWalHeaderV2) return false;
-    const uint32_t stored_crc = LoadU32(data + pos + 8);
-    uint32_t crc = Crc32c(data + pos, 8);
-    crc = Crc32cExtend(crc, data + pos + kWalHeaderV2, length);
-    return crc == stored_crc;
+  if (size - pos < kWalHeaderV2 || LoadU32(data + pos) != kWalMagicV2) {
+    return false;
   }
-  if (magic == kWalMagicV1) {
-    const uint32_t length = LoadU32(data + pos + 4);
-    return length <= size - pos - kWalHeaderV1;
-  }
-  return false;
+  const uint32_t length = LoadU32(data + pos + 4);
+  if (length > size - pos - kWalHeaderV2) return false;
+  const uint32_t stored_crc = LoadU32(data + pos + 8);
+  uint32_t crc = Crc32c(data + pos, 8);
+  crc = Crc32cExtend(crc, data + pos + kWalHeaderV2, length);
+  return crc == stored_crc;
 }
 
 // Scans for any structurally valid block strictly after `from`. Damage
 // followed by a valid block is interior corruption; damage with nothing
 // valid after it is a torn tail.
 bool AnyValidBlockAfter(const uint8_t* data, size_t size, size_t from) {
-  if (size < kWalHeaderV1) return false;
-  for (size_t pos = from; pos + kWalHeaderV1 <= size; ++pos) {
+  if (size < kWalHeaderV2) return false;
+  for (size_t pos = from; pos + kWalHeaderV2 <= size; ++pos) {
     if (ValidBlockAt(data, size, pos)) return true;
   }
   return false;
@@ -114,48 +106,37 @@ Result<WalReadResult> ReadWalBlocks(const uint8_t* data, size_t size,
 
   while (pos < size) {
     const size_t remaining = size - pos;
-    if (remaining < kWalHeaderV1) {
+    if (remaining >= 4 && LoadU32(data + pos) == kWalMagicV1) {
+      return Status::NotImplemented(
+          "WAL v1 (\"MDBS\") block at offset " + std::to_string(pos) +
+          " in " + path_for_errors +
+          ": the unchecksummed v1 log format is no longer readable");
+    }
+    if (remaining < kWalHeaderV2) {
       MODELARDB_RETURN_NOT_OK(damaged("truncated block header"));
       break;
     }
-    const uint32_t magic = LoadU32(data + pos);
-    WalBlockRef block;
-    block.offset = pos;
-    if (magic == kWalMagicV2) {
-      if (remaining < kWalHeaderV2) {
-        MODELARDB_RETURN_NOT_OK(damaged("truncated v2 block header"));
-        break;
-      }
-      const uint32_t length = LoadU32(data + pos + 4);
-      if (length > remaining - kWalHeaderV2) {
-        MODELARDB_RETURN_NOT_OK(damaged("v2 block payload past end of file"));
-        break;
-      }
-      const uint32_t stored_crc = LoadU32(data + pos + 8);
-      uint32_t crc = Crc32c(data + pos, 8);
-      crc = Crc32cExtend(crc, data + pos + kWalHeaderV2, length);
-      if (crc != stored_crc) {
-        MODELARDB_RETURN_NOT_OK(damaged("v2 block checksum mismatch"));
-        break;
-      }
-      block.version = 2;
-      block.payload_offset = pos + kWalHeaderV2;
-      block.payload_size = length;
-      pos += kWalHeaderV2 + length;
-    } else if (magic == kWalMagicV1) {
-      const uint32_t length = LoadU32(data + pos + 4);
-      if (length > remaining - kWalHeaderV1) {
-        MODELARDB_RETURN_NOT_OK(damaged("truncated v1 block"));
-        break;
-      }
-      block.version = 1;
-      block.payload_offset = pos + kWalHeaderV1;
-      block.payload_size = length;
-      pos += kWalHeaderV1 + length;
-    } else {
+    if (LoadU32(data + pos) != kWalMagicV2) {
       MODELARDB_RETURN_NOT_OK(damaged("bad block magic"));
       break;
     }
+    const uint32_t length = LoadU32(data + pos + 4);
+    if (length > remaining - kWalHeaderV2) {
+      MODELARDB_RETURN_NOT_OK(damaged("v2 block payload past end of file"));
+      break;
+    }
+    const uint32_t stored_crc = LoadU32(data + pos + 8);
+    uint32_t crc = Crc32c(data + pos, 8);
+    crc = Crc32cExtend(crc, data + pos + kWalHeaderV2, length);
+    if (crc != stored_crc) {
+      MODELARDB_RETURN_NOT_OK(damaged("v2 block checksum mismatch"));
+      break;
+    }
+    WalBlockRef block;
+    block.offset = pos;
+    block.payload_offset = pos + kWalHeaderV2;
+    block.payload_size = length;
+    pos += kWalHeaderV2 + length;
     result.blocks.push_back(block);
     result.valid_bytes = pos;
   }

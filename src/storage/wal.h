@@ -9,8 +9,8 @@
 //
 // The CRC covers magic+length+payload (everything but the CRC field
 // itself), so a bit flip anywhere in the block — including its header — is
-// detected. v1 blocks ("MDBS" + length, no checksum; the pre-durability
-// format) are still readable so existing logs replay unchanged.
+// detected. A block in the unchecksummed v1 format ("MDBS" + length) is
+// refused with Status::NotImplemented naming the format, never salvaged.
 //
 // Reading classifies damage by *where* it sits:
 //
@@ -44,9 +44,8 @@
 
 namespace modelardb {
 
-inline constexpr uint32_t kWalMagicV1 = 0x4d444253;  // The seed format.
+inline constexpr uint32_t kWalMagicV1 = 0x4d444253;  // "MDBS": refused.
 inline constexpr uint32_t kWalMagicV2 = 0x3242444d;  // "MDB2" LE.
-inline constexpr size_t kWalHeaderV1 = 8;            // magic + length.
 inline constexpr size_t kWalHeaderV2 = 12;           // magic + length + crc.
 
 // When WalWriter::AppendBlock actually issues the fdatasync.
@@ -70,7 +69,6 @@ struct WalBlockRef {
   size_t offset = 0;          // Block start within the file.
   size_t payload_offset = 0;  // Payload start within the file.
   uint32_t payload_size = 0;
-  int version = 2;
 };
 
 struct WalReadResult {
@@ -80,10 +78,11 @@ struct WalReadResult {
   std::string torn_reason;
 };
 
-// Parses `data[0, size)` as a sequence of v1/v2 blocks. Damage with a
-// valid block after it returns Status::Corruption; damage extending to
-// EOF returns OK with torn_tail set (see the file comment). Never throws,
-// never crashes on arbitrary bytes — the fuzz target.
+// Parses `data[0, size)` as a sequence of v2 blocks. Damage with a valid
+// block after it returns Status::Corruption; damage extending to EOF
+// returns OK with torn_tail set (see the file comment); a v1 block returns
+// Status::NotImplemented. Never throws, never crashes on arbitrary bytes —
+// the fuzz target.
 Result<WalReadResult> ReadWalBlocks(const uint8_t* data, size_t size,
                                     const std::string& path_for_errors);
 

@@ -151,6 +151,39 @@ TEST_F(ObsSqlTest, ExplainAnalyzePrintsSpanTree) {
   EXPECT_TRUE(saw_timing);
 }
 
+TEST_F(ObsSqlTest, ExplainAnalyzeRunsMorselsOnlyOnTheOwningWorker) {
+  // A Tid-restricted query names one Gid; only the worker that stores it
+  // may run a morsel for it.
+  const int owner = cluster_->WorkerOf(groups_[0].gid);
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT Tid, TS, Value FROM DataPoint WHERE Tid = " +
+      std::to_string(groups_[0].tids[0]);
+  ASSERT_TRUE(cluster_->Execute(sql).ok());
+  // The newest trace's spans, id -> (name, parent), from TRACES().
+  auto traces = *cluster_->Execute("SELECT * FROM TRACES()");
+  const int64_t trace_id = std::get<int64_t>(traces.rows.at(0)[0]);
+  std::map<int64_t, std::pair<std::string, int64_t>> spans;
+  for (const auto& row : traces.rows) {
+    if (std::get<int64_t>(row[0]) != trace_id) continue;
+    spans[std::get<int64_t>(row[2])] = {std::get<std::string>(row[4]),
+                                        std::get<int64_t>(row[3])};
+  }
+  std::map<std::string, int> morsels_under;  // Worker span -> morsels.
+  for (const auto& [id, span] : spans) {
+    if (span.first.rfind("morsel gid=", 0) != 0) continue;
+    int64_t parent = span.second;
+    while (spans.count(parent) &&
+           spans[parent].first.rfind("worker ", 0) != 0) {
+      parent = spans[parent].second;
+    }
+    ASSERT_TRUE(spans.count(parent)) << span.first;
+    ++morsels_under[spans[parent].first];
+  }
+  EXPECT_EQ(morsels_under,
+            (std::map<std::string, int>{{"worker " + std::to_string(owner),
+                                         1}}));
+}
+
 TEST_F(ObsSqlTest, PlainExplainHasNoSpanTree) {
   auto result =
       *cluster_->Execute("EXPLAIN SELECT SUM_S(*) FROM Segment");

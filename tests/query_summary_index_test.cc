@@ -1,13 +1,19 @@
-// Property test for the segment summary index: for randomized segment
+// Property test for the sealed-block summary index: for randomized segment
 // populations (gaps, scaling factors, boundary-equal timestamps), every
-// query must return bit-identical results whether the index is disabled
-// (block size 0, the exhaustive decode path) or enabled at any block size
-// — including degenerate sizes 1 and 3 that maximize partially covered
-// blocks. See DESIGN.md "Segment summary index" for why this holds.
+// query must return bit-identical results on a store without a decoder
+// registry (no summaries: the exhaustive decode path) and on indexed
+// stores at every block size — including degenerate sizes 1 and 3 that
+// maximize partially covered blocks — and every placement of the blocks:
+// hot, fully checkpointed, half checkpointed, reopened, and rewritten by
+// out-of-order puts after a checkpoint. See DESIGN.md "Segment summary
+// index" for why this holds.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,7 +30,19 @@ namespace {
 
 constexpr SamplingInterval kSi = 50;
 constexpr Timestamp kStart = 1000000;
-const size_t kBlockSizes[] = {0, 1, 3, 256};
+const size_t kBlockSizes[] = {1, 3, 256};
+
+// Where a store's blocks live when the queries run.
+enum class Placement {
+  kHot,           // In memory, never checkpointed.
+  kCheckpointed,  // Every segment in leased slab blocks.
+  kHalf,          // First half checkpointed, second half hot.
+  kReopened,      // kHalf, closed and opened again (slab + WAL suffix).
+  kOutOfOrder,    // Every fifth segment put after a checkpoint.
+};
+const Placement kPlacements[] = {Placement::kHot, Placement::kCheckpointed,
+                                 Placement::kHalf, Placement::kReopened,
+                                 Placement::kOutOfOrder};
 
 class SummaryIndexPropertyTest : public ::testing::Test {
  protected:
@@ -99,25 +117,78 @@ class SummaryIndexPropertyTest : public ::testing::Test {
     ASSERT_GT(segments.size(), 100u);
     segments_ = segments;
 
+    SegmentStoreOptions reference;  // No registry: decodes everything.
+    auto store = SegmentStore::Open(reference);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->PutBatch(segments).ok());
+    stores_.push_back(std::move(*store));
+    labels_.push_back("reference");
+    root_ = std::filesystem::temp_directory_path() /
+            ("mdb_summary_index_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(root_);
     for (size_t block_size : kBlockSizes) {
-      SegmentStoreOptions options;
-      options.index_block_size = block_size;
-      options.registry = &registry_;
-      for (const auto& g : groups_) {
-        options.group_sizes[g.gid] = static_cast<int>(g.tids.size());
+      for (Placement placement : kPlacements) {
+        ASSERT_NO_FATAL_FAILURE(AddStore(block_size, placement));
       }
-      auto store = SegmentStore::Open(options);
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE((*store)->PutBatch(segments).ok());
-      stores_.push_back(std::move(*store));
     }
     engine_ =
         std::make_unique<QueryEngine>(catalog_.get(), groups_, &registry_);
   }
 
+  void TearDown() override {
+    stores_.clear();
+    std::filesystem::remove_all(root_);
+  }
+
+  void AddStore(size_t block_size, Placement placement) {
+    SegmentStoreOptions options;
+    options.block_size = block_size;
+    options.registry = &registry_;
+    for (const auto& g : groups_) {
+      options.group_sizes[g.gid] = static_cast<int>(g.tids.size());
+    }
+    const size_t index = stores_.size();
+    if (placement != Placement::kHot) {
+      options.directory = (root_ / std::to_string(index)).string();
+    }
+    auto opened = SegmentStore::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    std::unique_ptr<SegmentStore> store = std::move(*opened);
+    const size_t half = segments_.size() / 2;
+    std::vector<Segment> first, second;
+    for (size_t i = 0; i < segments_.size(); ++i) {
+      bool early = true;
+      if (placement == Placement::kHalf || placement == Placement::kReopened) {
+        early = i < half;
+      } else if (placement == Placement::kOutOfOrder) {
+        early = i % 5 != 0;
+      }
+      (early ? first : second).push_back(segments_[i]);
+    }
+    ASSERT_TRUE(store->PutBatch(first).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->PutBatch(second).ok());
+    if (placement == Placement::kReopened) {
+      store.reset();
+      opened = SegmentStore::Open(options);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      store = std::move(*opened);
+    }
+    ASSERT_EQ(store->NumSegments(), static_cast<int64_t>(segments_.size()));
+    stores_.push_back(std::move(store));
+    labels_.push_back("block size " + std::to_string(block_size) +
+                      ", placement " +
+                      std::to_string(static_cast<int>(placement)));
+    slots_[{block_size, placement}] = index;
+  }
+
+  size_t Slot(size_t block_size, Placement placement) {
+    return slots_.at({block_size, placement});
+  }
+
   // Runs `sql` against every store and asserts the indexed results are
   // bit-identical (Cell operator== compares doubles exactly) to the
-  // exhaustive store's (block size 0).
+  // reference store's.
   void ExpectIdenticalAcrossStores(const std::string& sql) {
     std::vector<QueryResult> results;
     for (const auto& store : stores_) {
@@ -128,10 +199,10 @@ class SummaryIndexPropertyTest : public ::testing::Test {
     for (size_t i = 1; i < results.size(); ++i) {
       EXPECT_EQ(results[0].columns, results[i].columns) << sql;
       ASSERT_EQ(results[0].rows.size(), results[i].rows.size())
-          << sql << " at block size " << kBlockSizes[i];
+          << sql << " at " << labels_[i];
       for (size_t r = 0; r < results[0].rows.size(); ++r) {
         EXPECT_EQ(results[0].rows[r], results[i].rows[r])
-            << sql << " row " << r << " at block size " << kBlockSizes[i];
+            << sql << " row " << r << " at " << labels_[i];
       }
     }
   }
@@ -150,7 +221,10 @@ class SummaryIndexPropertyTest : public ::testing::Test {
   std::vector<TimeSeriesGroup> groups_;
   ModelRegistry registry_;
   std::vector<Segment> segments_;
-  std::vector<std::unique_ptr<SegmentStore>> stores_;
+  std::vector<std::unique_ptr<SegmentStore>> stores_;  // [0]: reference.
+  std::vector<std::string> labels_;
+  std::map<std::pair<size_t, Placement>, size_t> slots_;
+  std::filesystem::path root_;
   std::unique_ptr<QueryEngine> engine_;
 };
 
@@ -231,15 +305,16 @@ TEST_F(SummaryIndexPropertyTest, SelectedTidSubsetsIdentical) {
 }
 
 TEST_F(SummaryIndexPropertyTest, WholeRangeAnswersFromSummariesOnly) {
-  // Block size 256 is stores_[3]. A whole-range aggregate must be served
-  // entirely from the index: blocks summarized, nothing decoded.
-  ScanStats stats = StatsFor("SELECT SUM_S(*), COUNT_S(*) FROM Segment", 3);
+  // A whole-range aggregate must be served entirely from the index:
+  // blocks summarized, nothing decoded.
+  ScanStats stats = StatsFor("SELECT SUM_S(*), COUNT_S(*) FROM Segment",
+                             Slot(256, Placement::kHot));
   EXPECT_GT(stats.blocks_summarized, 0);
   EXPECT_EQ(stats.blocks_scanned, 0);
   EXPECT_EQ(stats.segments_scanned, 0);
   EXPECT_EQ(stats.segments_decoded, 0);
 
-  // The exhaustive store decodes every segment.
+  // The reference store decodes every segment.
   ScanStats exhaustive =
       StatsFor("SELECT SUM_S(*), COUNT_S(*) FROM Segment", 0);
   EXPECT_EQ(exhaustive.blocks_summarized, 0);
@@ -247,19 +322,34 @@ TEST_F(SummaryIndexPropertyTest, WholeRangeAnswersFromSummariesOnly) {
             static_cast<int64_t>(segments_.size()));
 }
 
+TEST_F(SummaryIndexPropertyTest, CheckpointedBlocksAnswerFromSummaries) {
+  // Leased blocks are summary blocks like any other: a whole-range SUM on
+  // checkpointed data folds summaries and decodes nothing.
+  for (size_t block_size : kBlockSizes) {
+    for (Placement placement :
+         {Placement::kCheckpointed, Placement::kReopened}) {
+      ScanStats stats = StatsFor("SELECT SUM_S(*) FROM Segment",
+                                 Slot(block_size, placement));
+      EXPECT_GT(stats.blocks_summarized, 0) << block_size;
+      EXPECT_EQ(stats.segments_decoded, 0) << block_size;
+    }
+  }
+}
+
 TEST_F(SummaryIndexPropertyTest, CountOnlyDataPointSkipsDecoding) {
-  ScanStats stats = StatsFor("SELECT COUNT(Value) FROM DataPoint", 3);
+  const size_t hot = Slot(256, Placement::kHot);
+  ScanStats stats = StatsFor("SELECT COUNT(Value) FROM DataPoint", hot);
   EXPECT_GT(stats.blocks_summarized, 0);
   EXPECT_EQ(stats.segments_decoded, 0);
   // SUM must decode (per-point fold order).
-  ScanStats sum_stats = StatsFor("SELECT SUM(Value) FROM DataPoint", 3);
+  ScanStats sum_stats = StatsFor("SELECT SUM(Value) FROM DataPoint", hot);
   EXPECT_EQ(sum_stats.blocks_summarized, 0);
   EXPECT_GT(sum_stats.segments_decoded, 0);
 }
 
 TEST_F(SummaryIndexPropertyTest, ExplainAnalyzeReportsPruningCounters) {
   auto result = engine_->Execute("EXPLAIN ANALYZE SELECT SUM_S(*) FROM Segment",
-                                 {stores_[3].get()});
+                                 {stores_[Slot(256, Placement::kHot)].get()});
   ASSERT_TRUE(result.ok()) << result.status();
   std::map<std::string, int64_t> counters;
   for (const auto& row : result->rows) {
@@ -285,7 +375,7 @@ TEST_F(SummaryIndexPropertyTest, PlainExplainEstimatesWithoutExecuting) {
   // Plain EXPLAIN must not run the scan: no pruning counters, only the
   // fence-based surviving-segment upper bound (whole range == everything).
   auto result = engine_->Execute("EXPLAIN SELECT SUM_S(*) FROM Segment",
-                                 {stores_[3].get()});
+                                 {stores_[Slot(256, Placement::kHot)].get()});
   ASSERT_TRUE(result.ok()) << result.status();
   bool saw_estimate = false;
   for (const auto& row : result->rows) {
@@ -302,12 +392,12 @@ TEST_F(SummaryIndexPropertyTest, PlainExplainEstimatesWithoutExecuting) {
 
 TEST_F(SummaryIndexPropertyTest, TimeBoundedScanStopsEarly) {
   // A range at the head of the data: the suffix-min fence must prune the
-  // tail blocks instead of scanning them. Block size 3 (stores_[2]) gives
-  // every group many blocks, so the tail is long.
+  // tail blocks instead of scanning them. Block size 3 gives every group
+  // many blocks, so the tail is long.
   ScanStats stats = StatsFor(
       "SELECT COUNT_S(*) FROM Segment WHERE TS <= " +
           std::to_string(kStart + 50 * kSi),
-      2);
+      Slot(3, Placement::kHot));
   EXPECT_GT(stats.blocks_skipped, 0);
   EXPECT_LT(stats.blocks_scanned + stats.blocks_summarized,
             stats.blocks_skipped);

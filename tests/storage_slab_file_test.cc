@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/model.h"
 #include "core/models/pmc_mean.h"
 #include "storage/segment_store.h"
 #include "util/buffer.h"
@@ -400,7 +401,7 @@ class SlabSegmentStoreTest : public ::testing::Test {
   SegmentStoreOptions Options() {
     SegmentStoreOptions options;
     options.directory = dir_.string();
-    options.slab_block_segments = 16;  // Small blocks: multiple per group.
+    options.block_size = 16;  // Small blocks: multiple per group.
     return options;
   }
 
@@ -569,6 +570,89 @@ TEST_F(SlabSegmentStoreTest, SnapshotScanSurvivesConcurrentCheckpointFrees) {
   });
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(seen, expected);
+}
+
+TEST_F(SlabSegmentStoreTest, OpenRejectsBlockSizeZero) {
+  SegmentStoreOptions options = Options();
+  options.block_size = 0;
+  EXPECT_EQ(SegmentStore::Open(options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SlabSegmentStoreTest, VersionOneColdIndexIsRefusedByName) {
+  // A slab whose cold index predates per-block pre-folds (version 1) is
+  // refused, never read as if it had them.
+  {
+    SlabFileOptions slab_options;
+    slab_options.path = (dir_ / "segments.slab").string();
+    auto slab = SlabFile::Open(slab_options);
+    ASSERT_TRUE(slab.ok()) << slab.status();
+    BufferWriter index;
+    index.WriteVarint(1);  // Version.
+    index.WriteVarint(0);  // Groups.
+    ASSERT_TRUE((*slab)->StageBlock(index.Finish(), ~uint64_t{0}).ok());
+    ASSERT_TRUE((*slab)->Commit(0).ok());
+  }
+  Status status = SegmentStore::Open(Options()).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status;
+  EXPECT_NE(status.ToString().find("version 1"), std::string::npos) << status;
+}
+
+TEST_F(SlabSegmentStoreTest, OutOfOrderPutsSplitFullCheckpointedBlocks) {
+  // Late puts into full, checkpointed blocks rewrite and split them; every
+  // placement on the way serves the same bytes in clustering order.
+  auto store_or = SegmentStore::Open(Options());  // 16-segment blocks.
+  ASSERT_TRUE(store_or.ok());
+  std::unique_ptr<SegmentStore> store = std::move(*store_or);
+  std::vector<std::vector<uint8_t>> expected;
+  for (int i = 0; i < 96; ++i) expected.push_back(Bytes(StoreSegment(1, i)));
+  for (int i = 0; i < 96; ++i) {
+    if (i % 6 == 5) continue;
+    ASSERT_TRUE(store->Put(StoreSegment(1, i)).ok());
+  }
+  ASSERT_TRUE(store->Checkpoint().ok());
+  const size_t blocks_before = store->slab_stats().block_count;
+  for (int i = 5; i < 96; i += 6) {
+    ASSERT_TRUE(store->Put(StoreSegment(1, i)).ok());
+  }
+  EXPECT_EQ(ScanAll(store.get()), expected);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(ScanAll(store.get()), expected);
+  // Rewritten blocks were freed; their split halves replaced them.
+  EXPECT_GT(store->slab_stats().block_count, blocks_before);
+  store.reset();
+  store_or = SegmentStore::Open(Options());
+  ASSERT_TRUE(store_or.ok()) << store_or.status();
+  EXPECT_EQ(store_or->get()->recovery_info().segments_replayed, 0);
+  EXPECT_EQ(ScanAll(store_or->get()), expected);
+}
+
+TEST_F(SlabSegmentStoreTest, UnsummarizableBlocksRoundTripThroughColdIndex) {
+  // Group 1 materializes summaries, but no decoder knows its segments'
+  // model: every summary in its blocks is invalid (width 0). The cold index
+  // must read them back as such and still parse group 2 after them.
+  const ModelRegistry registry = ModelRegistry::Default();
+  SegmentStoreOptions options = Options();
+  options.registry = &registry;
+  options.group_sizes = {{1, 1}, {2, 1}};
+  std::vector<std::vector<uint8_t>> expected;
+  {
+    auto store = SegmentStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (Gid gid : {1, 2}) {
+      for (int i = 0; i < 40; ++i) {
+        Segment segment = StoreSegment(gid, i);
+        if (gid == 1) segment.mid = kMinUserMid;  // Not registered.
+        ASSERT_TRUE((*store)->Put(segment).ok());
+        expected.push_back(Bytes(segment));
+      }
+    }
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+  }
+  auto store = SegmentStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ((*store)->recovery_info().segments_replayed, 0);
+  EXPECT_EQ(ScanAll(store->get()), expected);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // WAL v2 recovery semantics (DESIGN.md §3g): torn tails salvage, interior
-// corruption refuses, v1 logs still replay, group commit fsyncs on its
-// cadence, and quarantine preserves the crash debris byte-for-byte.
+// corruption refuses, v1 logs are refused by name (never salvaged), group
+// commit fsyncs on its cadence, and quarantine preserves the crash debris
+// byte-for-byte.
 
 #include "storage/wal.h"
 
@@ -49,6 +50,12 @@ Result<WalReadResult> Parse(const std::vector<uint8_t>& file) {
   return ReadWalBlocks(file.data(), file.size(), "test.log");
 }
 
+// The refusal every v1 log gets: NotImplemented, naming the format.
+void ExpectV1Refusal(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status;
+  EXPECT_NE(status.ToString().find("v1"), std::string::npos) << status;
+}
+
 int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
@@ -64,7 +71,6 @@ TEST(WalReaderTest, CleanLogRoundTrips) {
   ASSERT_EQ(result->blocks.size(), payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
     const WalBlockRef& block = result->blocks[i];
-    EXPECT_EQ(block.version, 2);
     ASSERT_EQ(block.payload_size, payloads[i].size());
     EXPECT_TRUE(std::equal(payloads[i].begin(), payloads[i].end(),
                            file.begin() + block.payload_offset));
@@ -163,42 +169,28 @@ TEST(WalReaderTest, CrcFieldFlipIsDamageToo) {
 }
 
 TEST(WalReaderTest, V1BlocksStillReadable) {
-  std::vector<uint8_t> p1 = MakePayload(1, 30);
-  std::vector<uint8_t> p2 = MakePayload(2, 45);
-  std::vector<uint8_t> file = EncodeV1Block(p1);
-  std::vector<uint8_t> second = EncodeV1Block(p2);
+  // v1 blocks carry no checksum and are no longer readable: a v1 log is
+  // refused by name, never replayed.
+  std::vector<uint8_t> file = EncodeV1Block(MakePayload(1, 30));
+  std::vector<uint8_t> second = EncodeV1Block(MakePayload(2, 45));
   file.insert(file.end(), second.begin(), second.end());
-  auto result = Parse(file);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->blocks.size(), 2u);
-  EXPECT_EQ(result->blocks[0].version, 1);
-  EXPECT_EQ(result->blocks[1].version, 1);
-  EXPECT_FALSE(result->torn_tail);
-  EXPECT_EQ(0, std::memcmp(file.data() + result->blocks[1].payload_offset,
-                           p2.data(), p2.size()));
+  ExpectV1Refusal(Parse(file).status());
 }
 
 TEST(WalReaderTest, MixedV1ThenV2Log) {
-  // An upgraded node appends v2 blocks after its pre-existing v1 history.
+  // v2 blocks appended after a v1 history do not make the log readable.
   std::vector<uint8_t> file = EncodeV1Block(MakePayload(1, 30));
   EncodeWalBlockV2(MakePayload(2, 60).data(), 60, &file);
-  auto result = Parse(file);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->blocks.size(), 2u);
-  EXPECT_EQ(result->blocks[0].version, 1);
-  EXPECT_EQ(result->blocks[1].version, 2);
+  ExpectV1Refusal(Parse(file).status());
 }
 
 TEST(WalReaderTest, V1TruncatedTailSalvages) {
+  // A v1 log with a truncated last block is refused too: it must not be
+  // mistaken for a v2 log with a torn tail and salvaged.
   std::vector<uint8_t> file = EncodeV1Block(MakePayload(1, 30));
-  const size_t boundary = file.size();
   std::vector<uint8_t> partial = EncodeV1Block(MakePayload(2, 40));
   file.insert(file.end(), partial.begin(), partial.end() - 11);
-  auto result = Parse(file);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->blocks.size(), 1u);
-  EXPECT_TRUE(result->torn_tail);
-  EXPECT_EQ(result->valid_bytes, boundary);
+  ExpectV1Refusal(Parse(file).status());
 }
 
 TEST(WalWriterTest, GroupCommitFsyncCadence) {
@@ -392,39 +384,22 @@ TEST_F(WalRecoveryTest, QuarantinePreservesTornBytes) {
 }
 
 TEST_F(WalRecoveryTest, V1LogReplaysIntoTheStore) {
-  // A log written by the pre-durability format (v1: magic + length, no
-  // CRC) must replay unchanged, and new flushes append v2 after it.
-  Segment legacy = MakeSegment(0);
+  // A log in the unchecksummed v1 format fails Open by name, and the file
+  // is left as it was: neither quarantined nor truncated as a torn tail.
   BufferWriter payload;
   payload.WriteVarint(1);
-  legacy.SerializeTo(&payload);
+  MakeSegment(0).SerializeTo(&payload);
   std::vector<uint8_t> block = EncodeV1Block(payload.Finish());
+  const std::filesystem::path log = dir_ / "segments.log";
   {
-    std::ofstream out((dir_ / "segments.log").string(), std::ios::binary);
+    std::ofstream out(log.string(), std::ios::binary);
     out.write(reinterpret_cast<const char*>(block.data()),
               static_cast<std::streamsize>(block.size()));
   }
-  {
-    auto store = OpenDir(dir_.string());
-    ASSERT_TRUE(store.ok()) << store.status();
-    EXPECT_EQ((*store)->NumSegments(), 1);
-    ASSERT_TRUE((*store)->Put(MakeSegment(1)).ok());
-    ASSERT_TRUE((*store)->Flush().ok());  // Appends a v2 block.
-  }
-  auto reopened = OpenDir(dir_.string());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ((*reopened)->NumSegments(), 2);
-  std::vector<Segment> served;
-  ASSERT_TRUE((*reopened)
-                  ->Scan(SegmentFilter{},
-                         [&](const Segment& s) {
-                           served.push_back(s);
-                           return Status::OK();
-                         })
-                  .ok());
-  ASSERT_EQ(served.size(), 2u);
-  EXPECT_EQ(served[0], legacy);
-  EXPECT_EQ(served[1], MakeSegment(1));
+  auto store = OpenDir(dir_.string());
+  ExpectV1Refusal(store.status());
+  EXPECT_EQ(std::filesystem::file_size(log), block.size());
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "segments.log.corrupt"));
 }
 
 TEST_F(WalRecoveryTest, FaultInjectedStoreRecoversToWatermark) {

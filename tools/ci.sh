@@ -85,12 +85,17 @@ echo "ci: slab-recovery gate passed"
 echo "ci: diagnostics-bundle gate passed"
 
 # End-to-end benchmark smoke: a short traced ep_hot run and an untraced
-# ep_cold run of e2ebench (BENCHMARK.json). run.py exits 0 even when its
-# answer gate fails, so the stage reads the result line itself and
-# requires "failed": 0. The traced mode replays ExecuteOnWorker +
-# MergeFinalize against the same answer check as ClusterEngine::Execute,
-# so this also catches that replica drifting from the engine.
-for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0"; do
+# and a traced ep_cold run of e2ebench (BENCHMARK.json). run.py exits 0
+# even when its answer gate fails, so the stage reads the result line
+# itself and requires "failed": 0. The traced mode replays ExecuteOnWorker
+# + MergeFinalize against the same answer check as ClusterEngine::Execute,
+# so this also catches that replica drifting from the engine. Checkpointed
+# blocks must answer S-AGG and L-AGG from their summaries exactly as hot
+# ones do: the traced summarized_share of both classes must be equal on
+# ep_cold and ep_hot.
+results=()
+for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0" \
+           "--workload ep_cold --trace 1"; do
   # shellcheck disable=SC2086  # $run is a list of arguments.
   result="$(python3 e2ebench/run.py $run --seed 1 --seconds 4 | tail -n 1)"
   if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
@@ -98,7 +103,22 @@ for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0"; do
     echo "FAIL: e2ebench $run: $result" >&2
     exit 1
   fi
+  results+=("$result")
 done
+if ! python3 - "${results[0]}" "${results[2]}" <<'PY'
+import json, sys
+hot, cold = (json.loads(arg)["metrics"] for arg in sys.argv[1:3])
+bad = [name for name in ("sagg.storage.summarized_share",
+                         "lagg.storage.summarized_share")
+       if cold[name]["value"] != hot[name]["value"]]
+for name in bad:
+    print("FAIL: e2ebench %s is %s on ep_cold but %s on ep_hot"
+          % (name, cold[name]["value"], hot[name]["value"]), file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+then
+  exit 1
+fi
 echo "ci: e2ebench smoke passed"
 
 # Tier 2: concurrency subset under ThreadSanitizer.

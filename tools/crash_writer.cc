@@ -26,13 +26,17 @@
 // prints a loud SKIP and exits 0 so CI stays green but honest.
 //
 // --slab runs the same rounds with slab checkpoints every 3 flushes
-// (storage/slab_file.h), so kills and faults land everywhere across the
-// checkpoint pipeline — mid data sync, mid root flip, between the flip and
-// the next WAL append. The durability contract is unchanged (a checkpoint
-// that dies leaves the previous root in charge and the WAL replays the
-// rest), so the verifier is byte-for-byte the same; fault rounds
-// additionally require the post-recovery slab file to reproduce
-// bit-identically across same-seed runs.
+// (storage/slab_file.h), small sealed blocks, and a seeded put order in
+// which about one segment in eight arrives up to eight flushes late — so
+// it lands in a block that is already sealed and checkpointed, and kills
+// and faults land inside that block's rewrite and inside the checkpoint
+// after it, as well as everywhere across the checkpoint pipeline (mid data
+// sync, mid root flip, between the flip and the next WAL append). The
+// durability contract is unchanged (a checkpoint that dies leaves the
+// previous root in charge and the WAL replays the rest); the verifier
+// checks the recovered set against the puts acknowledged in that seeded
+// order. Fault rounds additionally require the post-recovery slab file to
+// reproduce bit-identically across same-seed runs.
 //
 // --bundle runs a single diagnostics-bundle round instead: the forked
 // child installs obs::InstallCrashHandler, ingests with slab checkpoints
@@ -40,6 +44,7 @@
 // asserts a well-formed crash bundle (header, signal, in-flight
 // checkpoint_phase flight-recorder events, end marker) landed on disk.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -48,6 +53,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/models/pmc_mean.h"
@@ -77,6 +83,40 @@ constexpr int kFlushEvery = 20;
 // --slab: every round ingests with slab checkpoints every 3 flushes.
 // A file-scope flag so the forked kill-round child inherits it.
 bool g_slab_mode = false;
+// --slab: segments per sealed block, small so late puts split full ones.
+constexpr size_t kSlabBlockSize = 32;
+
+// The store options every round writes and reopens with.
+SegmentStoreOptions StoreOptions(const std::string& dir) {
+  SegmentStoreOptions options;
+  options.directory = dir;
+  options.wal_sync_policy = WalSyncPolicy::kEveryBlock;
+  // Only explicit Flush() writes blocks, so the ACK watermark is exact.
+  options.bulk_write_size = static_cast<size_t>(kMaxSegments) + 1;
+  if (g_slab_mode) {
+    options.slab_checkpoint_every_n_flushes = 3;
+    options.block_size = kSlabBlockSize;
+  }
+  return options;
+}
+
+// The order a round puts segments 0..n-1 in: ascending, except that in
+// --slab mode about one in eight is deferred by one to eight flushes.
+std::vector<int> PutOrder(uint64_t seed, int n) {
+  std::vector<std::pair<int64_t, int>> keyed;
+  Random rng(seed ^ 0x5eedULL);
+  for (int i = 0; i < n; ++i) {
+    int64_t key = i;
+    if (g_slab_mode && rng.NextBelow(8) == 0) {
+      key += kFlushEvery * (1 + static_cast<int64_t>(rng.NextBelow(8)));
+    }
+    keyed.emplace_back(key, i);
+  }
+  std::stable_sort(keyed.begin(), keyed.end());
+  std::vector<int> order;
+  for (const auto& [key, i] : keyed) order.push_back(i);
+  return order;
+}
 
 // The i-th segment of the deterministic workload. Content is a pure
 // function of i so the verifier can regenerate the expected bytes without
@@ -103,14 +143,13 @@ std::vector<uint8_t> SerializeSegment(const Segment& s) {
   return writer.Finish();
 }
 
-// Reopens `dir` and checks the prefix property: Open must succeed and the
-// store must serve exactly MakeSegment(0..M-1) for some M >= min_acked,
-// byte-identical. Returns M, or -1 on failure (with a diagnostic).
-int64_t ReopenAndVerify(const std::string& dir, int64_t min_acked,
-                        RecoveryInfo* info_out = nullptr) {
-  SegmentStoreOptions options;
-  options.directory = dir;
-  auto store_or = SegmentStore::Open(options);
+// Reopens `dir` and checks the acknowledged set: Open must succeed and
+// the store must serve exactly the segments of the first M puts of
+// `order`, for some M >= min_acked, in EndTime order and byte-identical.
+// Returns M, or -1 on failure (with a diagnostic).
+int64_t ReopenAndVerify(const std::string& dir, const std::vector<int>& order,
+                        int64_t min_acked, RecoveryInfo* info_out = nullptr) {
+  auto store_or = SegmentStore::Open(StoreOptions(dir));
   if (!store_or.ok()) {
     std::fprintf(stderr, "FAIL: reopen of %s: %s\n", dir.c_str(),
                  store_or.status().ToString().c_str());
@@ -130,19 +169,22 @@ int64_t ReopenAndVerify(const std::string& dir, int64_t min_acked,
     return -1;
   }
   const int64_t m = static_cast<int64_t>(served.size());
-  if (m < min_acked) {
+  if (m < min_acked || m > static_cast<int64_t>(order.size())) {
     std::fprintf(stderr,
                  "FAIL: %s serves %" PRId64 " segments but %" PRId64
                  " were acknowledged durable\n",
                  dir.c_str(), m, min_acked);
     return -1;
   }
+  std::vector<int> expected(order.begin(), order.begin() + m);
+  std::sort(expected.begin(), expected.end());
   for (int64_t i = 0; i < m; ++i) {
-    if (SerializeSegment(served[i]) != SerializeSegment(MakeSegment(i))) {
+    if (SerializeSegment(served[i]) !=
+        SerializeSegment(MakeSegment(expected[i]))) {
       std::fprintf(stderr,
-                   "FAIL: %s segment %" PRId64
-                   " is not byte-identical to the ingested one\n",
-                   dir.c_str(), i);
+                   "FAIL: %s serves segment %" PRId64
+                   " where the acknowledged set has segment %d\n",
+                   dir.c_str(), i, expected[i]);
       return -1;
     }
   }
@@ -153,18 +195,13 @@ int64_t ReopenAndVerify(const std::string& dir, int64_t min_acked,
 
 // Child body: ingest with per-flush durability, ACKing each durable
 // watermark on `fd`. Never returns.
-[[noreturn]] void RunChild(const std::string& dir, int fd) {
-  SegmentStoreOptions options;
-  options.directory = dir;
-  options.wal_sync_policy = WalSyncPolicy::kEveryBlock;
-  // Only explicit Flush() writes blocks, so the ACK watermark is exact.
-  options.bulk_write_size = static_cast<size_t>(kMaxSegments) + 1;
-  if (g_slab_mode) options.slab_checkpoint_every_n_flushes = 3;
-  auto store_or = SegmentStore::Open(options);
+[[noreturn]] void RunChild(const std::string& dir,
+                          const std::vector<int>& order, int fd) {
+  auto store_or = SegmentStore::Open(StoreOptions(dir));
   if (!store_or.ok()) _exit(2);
   std::unique_ptr<SegmentStore> store = std::move(*store_or);
   for (int i = 0; i < kMaxSegments; ++i) {
-    if (!store->Put(MakeSegment(i)).ok()) _exit(3);
+    if (!store->Put(MakeSegment(order[i])).ok()) _exit(3);
     if ((i + 1) % kFlushEvery == 0) {
       if (!store->Flush().ok()) _exit(4);
       // kEveryBlock: the flush that just returned OK is on disk. Anything
@@ -179,6 +216,7 @@ int64_t ReopenAndVerify(const std::string& dir, int64_t min_acked,
 
 bool RunKillRound(int round, uint64_t seed, const std::string& dir) {
   Random rng(seed);
+  const std::vector<int> order = PutOrder(seed, kMaxSegments);
   int fds[2];
   if (pipe(fds) != 0) {
     std::perror("pipe");
@@ -191,7 +229,7 @@ bool RunKillRound(int round, uint64_t seed, const std::string& dir) {
   }
   if (pid == 0) {
     close(fds[0]);
-    RunChild(dir, fds[1]);
+    RunChild(dir, order, fds[1]);
   }
   close(fds[1]);
 
@@ -229,7 +267,7 @@ bool RunKillRound(int round, uint64_t seed, const std::string& dir) {
   fclose(in);
 
   RecoveryInfo info;
-  const int64_t served = ReopenAndVerify(dir, last_ack, &info);
+  const int64_t served = ReopenAndVerify(dir, order, last_ack, &info);
   if (served < 0) return false;
   std::printf("crash_writer: kill round %d: killed at ack %" PRId64
               ", served %" PRId64 " segments%s\n",
@@ -359,15 +397,12 @@ FaultRoundResult RunFaultRound(uint64_t seed, const std::string& dir) {
     default: fault_options.drop_writes_after = fault_op; break;
   }
   FaultInjectionEnv env(Env::Default(), fault_options);
+  const std::vector<int> order = PutOrder(seed, 600);
 
   int64_t acked = 0;
   {
-    SegmentStoreOptions options;
-    options.directory = dir;
+    SegmentStoreOptions options = StoreOptions(dir);
     options.env = &env;
-    options.wal_sync_policy = WalSyncPolicy::kEveryBlock;
-    options.bulk_write_size = static_cast<size_t>(kMaxSegments) + 1;
-    if (g_slab_mode) options.slab_checkpoint_every_n_flushes = 3;
     auto store_or = SegmentStore::Open(options);
     if (!store_or.ok()) {
       std::fprintf(stderr, "FAIL: fault open of %s: %s\n", dir.c_str(),
@@ -376,7 +411,7 @@ FaultRoundResult RunFaultRound(uint64_t seed, const std::string& dir) {
     }
     std::unique_ptr<SegmentStore> store = std::move(*store_or);
     for (int i = 0; i < 600; ++i) {
-      if (!store->Put(MakeSegment(i)).ok()) break;
+      if (!store->Put(MakeSegment(order[i])).ok()) break;
       if ((i + 1) % kFlushEvery == 0) {
         if (!store->Flush().ok()) break;  // Writer poisoned from here on.
         // drop_writes_after acknowledges appends and syncs without
@@ -394,7 +429,7 @@ FaultRoundResult RunFaultRound(uint64_t seed, const std::string& dir) {
   }
 
   RecoveryInfo info;
-  const int64_t served = ReopenAndVerify(dir, acked, &info);
+  const int64_t served = ReopenAndVerify(dir, order, acked, &info);
   if (served < 0) return result;
 
   auto log_bytes = Env::Default()->ReadFileBytes(dir + "/segments.log");
