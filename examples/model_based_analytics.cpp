@@ -71,11 +71,9 @@ int main() {
   }
   query::SimilaritySearch search(&(*engine)->query_engine(), &registry,
                                  farm.catalog());
-  const SegmentStore* store =
-      (*engine)->worker((*engine)->WorkerOf(
-          (*engine)->query_engine().GidOf(7)))->store();
   query::SimilarityStats stats;
-  auto matches = search.TopK(*store, /*tid=*/7, pattern, 3, &stats);
+  auto matches = search.TopK((*engine)->partitions(), /*tid=*/7, pattern, 3,
+                             &stats);
   if (!matches.ok()) {
     std::fprintf(stderr, "similarity failed: %s\n",
                  matches.status().ToString().c_str());

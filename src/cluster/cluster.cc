@@ -34,17 +34,6 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Create(
   engine->config_ = config;
   engine->catalog_ = catalog;
   engine->registry_ = registry;
-  // Observability knobs configure the process-wide obs singletons (0 keeps
-  // the env/default value, see ClusterConfig).
-  if (config.trace_ring_capacity > 0) {
-    obs::Tracer::Global().SetCapacity(config.trace_ring_capacity);
-  }
-  if (config.trace_sample_every > 0) {
-    obs::Tracer::Global().SetSampleEvery(config.trace_sample_every);
-  }
-  if (config.slow_query_ms != 0) {
-    obs::SetSlowQueryThresholdMs(config.slow_query_ms);
-  }
   if (config.start_watchdog) {
     obs::Watchdog::Global().Start();
   }

@@ -49,13 +49,6 @@ struct ClusterConfig {
   // Results are byte-identical at every setting: per-Gid morsel partials
   // are merged in a deterministic order.
   int parallelism = 0;
-  // Observability knobs, applied process-wide at Create (they configure
-  // the leaked obs singletons). 0 keeps the current value — which at
-  // startup is the MODELARDB_TRACE_RING / MODELARDB_TRACE_SAMPLE /
-  // MODELARDB_SLOW_QUERY_MS environment override or the built-in default.
-  size_t trace_ring_capacity = 0;  // Finished traces retained by TRACES().
-  int64_t trace_sample_every = 0;  // Trace 1 in N queries.
-  int64_t slow_query_ms = 0;       // Slow-query log threshold; < 0 disables.
   // Starts the background health watchdog (obs::Watchdog::Global()) with
   // these options. The watchdog is process-wide and keeps running after
   // the engine is destroyed; HEALTH() works without it (on-demand checks).
@@ -137,6 +130,8 @@ class ClusterEngine {
       obs::Trace* trace = nullptr, int32_t parent_span = 0) const;
 
   const query::QueryEngine& query_engine() const { return *query_engine_; }
+  // The workers' stores, in worker order: the partitions Execute runs over.
+  const query::Partitions& partitions() const { return partitions_; }
   const ModelRegistry* registry() const { return registry_; }
 
   // The pool queries/flushes/ingestion run on; null when parallelism == 1.

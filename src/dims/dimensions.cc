@@ -1,6 +1,7 @@
 #include "dims/dimensions.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace modelardb {
 
@@ -10,6 +11,13 @@ Result<int> Dimension::LevelOf(const std::string& level_name) const {
   }
   return Status::NotFound("no level named '" + level_name + "' in dimension " +
                           name_);
+}
+
+Status CheckScaling(double scaling) {
+  if (scaling > 0.0 && std::isfinite(scaling)) return Status::OK();
+  return Status::InvalidArgument(
+      "scaling constant must be positive and finite: " +
+      std::to_string(scaling));
 }
 
 Result<int> TimeSeriesCatalog::DimensionIndex(const std::string& name) const {
@@ -43,9 +51,7 @@ Status TimeSeriesCatalog::AddSeries(TimeSeriesMeta meta) {
   if (meta.si <= 0) {
     return Status::InvalidArgument("sampling interval must be positive");
   }
-  if (meta.scaling == 0.0) {
-    return Status::InvalidArgument("scaling constant must be non-zero");
-  }
+  MODELARDB_RETURN_NOT_OK(CheckScaling(meta.scaling));
   series_.push_back(std::move(meta));
   return Status::OK();
 }

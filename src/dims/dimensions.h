@@ -60,6 +60,11 @@ struct TimeSeriesMeta {
   std::vector<MemberPath> members;  // Parallel to the schema's dimensions.
 };
 
+// A scaling constant must be positive and finite: values are divided by
+// it during iterate (§6.1), which must keep them ordered and finite.
+// Returns InvalidArgument otherwise.
+Status CheckScaling(double scaling);
+
 // The dimension schema plus the metadata rows of all time series. Acts as
 // the paper's Metadata Cache: an in-memory, Tid-indexed table used for the
 // array-based dimension hash-join during query processing (§6.1).

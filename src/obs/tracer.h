@@ -118,8 +118,7 @@ struct TraceRecord {
 //
 // Both knobs are runtime-configurable: Global() seeds them from the
 // MODELARDB_TRACE_RING / MODELARDB_TRACE_SAMPLE environment variables,
-// and ClusterConfig{trace_ring_capacity, trace_sample_every} overrides
-// them at ClusterEngine::Create via SetCapacity/SetSampleEvery.
+// and SetCapacity/SetSampleEvery override them.
 class Tracer {
  public:
   static Tracer& Global();

@@ -36,8 +36,8 @@ const char* HealthStatusName(HealthStatus status);
 // Slow-query log threshold. Queries slower than this are logged with their
 // resource breakdown, recorded as kSlowQuery flight-recorder events and
 // counted by modelardb_query_slow_total. Seeded from MODELARDB_SLOW_QUERY_MS
-// (default 1000); ClusterConfig.slow_query_ms overrides it at
-// ClusterEngine::Create. <= 0 disables the log. Thread-safe.
+// (default 1000); SetSlowQueryThresholdMs overrides it. <= 0 disables the
+// log. Thread-safe.
 int64_t SlowQueryThresholdNs();
 void SetSlowQueryThresholdMs(int64_t ms);
 

@@ -97,7 +97,10 @@ Result<bool> Partitioner::ClauseHolds(const TimeSeriesCatalog& catalog,
 Result<std::vector<TimeSeriesGroup>> Partitioner::Partition(
     TimeSeriesCatalog* catalog, const PartitionHints& hints) {
   // Apply scaling rules first so Definition 8's alignment of values is in
-  // place before ingestion.
+  // place before ingestion. All are checked before any is applied.
+  for (const ScalingRule& rule : hints.scaling_rules) {
+    MODELARDB_RETURN_NOT_OK(CheckScaling(rule.factor));
+  }
   for (const ScalingRule& rule : hints.scaling_rules) {
     if (!rule.source.empty()) {
       for (Tid tid : catalog->AllTids()) {

@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "obs/event_ring.h"
@@ -27,19 +28,42 @@ bool RowRange(const Segment& segment, const SegmentFilter& filter,
   return *from_row <= *to_row;
 }
 
-void UpdateState(AggState* state, const AggregateSummary& summary,
-                 double scaling) {
-  state->count += summary.count;
-  state->sum += summary.sum / scaling;
-  state->min = std::min(state->min, summary.min / scaling);
-  state->max = std::max(state->max, summary.max / scaling);
-}
-
 void UpdateState(AggState* state, double value) {
   ++state->count;
   state->sum += value;
   state->min = std::min(state->min, value);
   state->max = std::max(state->max, value);
+}
+
+// The aggregate states of group `key`, created on first use.
+std::vector<AggState>& StatesFor(Fold* fold, const std::vector<Cell>& key,
+                                 size_t num_aggs) {
+  std::vector<AggState>& states = fold->groups[key];
+  if (states.empty()) states.resize(num_aggs);
+  return states;
+}
+
+// Folds a range's aggregates, in stored units, into a group's states.
+void FoldSummary(std::vector<AggState>* states,
+                 const AggregateSummary& summary, double scaling) {
+  for (AggState& state : *states) {
+    state.count += summary.count;
+    state.sum += summary.sum / scaling;
+    state.min = std::min(state.min, summary.min / scaling);
+    state.max = std::max(state.max, summary.max / scaling);
+  }
+}
+
+// A segment's materialized full-range aggregates of decoder `column`:
+// bit-identical to AggregateRange over all its rows by construction.
+AggregateSummary FullRange(const SegmentSummary& summary, int column,
+                           int64_t length) {
+  AggregateSummary out;
+  out.count = length;
+  out.sum = summary.sum(column);
+  out.min = summary.min(column);
+  out.max = summary.max(column);
+  return out;
 }
 
 Cell FinalizeAggregate(AggregateFunction fn, const AggState& state) {
@@ -75,21 +99,6 @@ StatsRelation RelateStats(const CompiledQuery& compiled,
     return StatsRelation::kContained;
   }
   return StatsRelation::kOverlapping;
-}
-
-// True when some selected aggregate reads the sum lane (SUM/AVG). Those
-// need the exact per-segment reduction tree; COUNT/MIN/MAX are order-free
-// and can consume whole-block pre-folded aggregates bit-identically.
-bool NeedsExactSumFold(const Query& ast) {
-  for (const SelectItem& item : ast.select) {
-    if ((item.kind == SelectItem::Kind::kAggregate ||
-         item.kind == SelectItem::Kind::kCubeAggregate) &&
-        (item.aggregate == AggregateFunction::kSum ||
-         item.aggregate == AggregateFunction::kAvg)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // The Gids a query runs over in one partition, ascending: every group in
@@ -275,37 +284,48 @@ QueryEngine::QueryEngine(const TimeSeriesCatalog* catalog,
   }
 }
 
-Result<std::pair<int, int>> QueryEngine::ResolveDimensionColumn(
-    const std::string& name) const {
+Result<ColumnRef> QueryEngine::ResolveColumn(const std::string& name) const {
+  using Kind = ColumnRef::Kind;
+  static constexpr std::pair<const char*, Kind> kViewColumns[] = {
+      {"Tid", Kind::kTid},   {"TS", Kind::kTs},   {"Value", Kind::kValue},
+      {"StartTime", Kind::kStartTime}, {"EndTime", Kind::kEndTime},
+      {"SI", Kind::kSi},     {"Mid", Kind::kMid}};
+  ColumnRef column;
+  column.display = name;
+  for (const auto& [view_name, kind] : kViewColumns) {
+    if (EqualsIgnoreCase(name, view_name)) {
+      column.kind = kind;
+      return column;
+    }
+  }
+  column.kind = Kind::kMember;
   // Qualified forms: "Dimension.Level" or "Dimension_Level".
   for (char sep : {'.', '_'}) {
     size_t pos = name.find(sep);
-    if (pos != std::string::npos) {
-      std::string dim_name = name.substr(0, pos);
-      std::string level_name = name.substr(pos + 1);
-      Result<int> dim = catalog_->DimensionIndex(dim_name);
-      if (dim.ok()) {
-        MODELARDB_ASSIGN_OR_RETURN(
-            int level, catalog_->dimensions()[*dim].LevelOf(level_name));
-        return std::make_pair(*dim, level);
-      }
+    if (pos == std::string::npos) continue;
+    Result<int> dim = catalog_->DimensionIndex(name.substr(0, pos));
+    if (dim.ok()) {
+      column.dim_index = *dim;
+      MODELARDB_ASSIGN_OR_RETURN(
+          column.level,
+          catalog_->dimensions()[*dim].LevelOf(name.substr(pos + 1)));
+      return column;
     }
   }
   // Unqualified level name; must be unique across dimensions.
-  std::optional<std::pair<int, int>> found;
+  bool found = false;
   for (size_t d = 0; d < catalog_->dimensions().size(); ++d) {
     Result<int> level = catalog_->dimensions()[d].LevelOf(name);
-    if (level.ok()) {
-      if (found.has_value()) {
-        return Status::InvalidArgument("ambiguous dimension column: " + name);
-      }
-      found = std::make_pair(static_cast<int>(d), *level);
+    if (!level.ok()) continue;
+    if (found) {
+      return Status::InvalidArgument("ambiguous dimension column: " + name);
     }
+    found = true;
+    column.dim_index = static_cast<int>(d);
+    column.level = *level;
   }
-  if (!found.has_value()) {
-    return Status::NotFound("unknown column: " + name);
-  }
-  return *found;
+  if (!found) return Status::NotFound("unknown column: " + name);
+  return column;
 }
 
 Result<CompiledQuery> QueryEngine::Compile(const Query& ast) const {
@@ -359,9 +379,13 @@ Result<CompiledQuery> QueryEngine::Compile(const Query& ast) const {
         break;
       }
       case Predicate::Kind::kMemberEquals: {
-        MODELARDB_ASSIGN_OR_RETURN(auto resolved,
-                                   ResolveDimensionColumn(pred.column));
-        intersect(catalog_->SeriesWithMember(resolved.first, resolved.second,
+        MODELARDB_ASSIGN_OR_RETURN(ColumnRef column,
+                                   ResolveColumn(pred.column));
+        if (column.kind != ColumnRef::Kind::kMember) {
+          return Status::InvalidArgument("not a dimension column: " +
+                                         pred.column);
+        }
+        intersect(catalog_->SeriesWithMember(column.dim_index, column.level,
                                              pred.member));
         break;
       }
@@ -382,41 +406,79 @@ Result<CompiledQuery> QueryEngine::Compile(const Query& ast) const {
   }
 
   for (const std::string& column : ast.group_by) {
-    KeyPart part;
-    if (EqualsIgnoreCase(column, "Tid")) {
-      part.kind = KeyPart::Kind::kTid;
+    MODELARDB_ASSIGN_OR_RETURN(ColumnRef part, ResolveColumn(column));
+    if (part.kind == ColumnRef::Kind::kTid) {
       part.display = "Tid";
-    } else {
-      MODELARDB_ASSIGN_OR_RETURN(auto resolved,
-                                 ResolveDimensionColumn(column));
-      part.kind = KeyPart::Kind::kMember;
-      part.dim_index = resolved.first;
-      part.level = resolved.second;
-      part.display = column;
+    } else if (part.kind != ColumnRef::Kind::kMember) {
+      return Status::InvalidArgument("cannot group by " + column);
     }
     compiled.key_parts.push_back(std::move(part));
   }
 
+  const bool has_agg = ast.HasAggregates();
+  bool needs_sum = false;  // Some aggregate reads the sum lane (SUM/AVG).
   for (const SelectItem& item : ast.select) {
-    if (item.kind == SelectItem::Kind::kCubeAggregate) {
-      if (compiled.cube_level.has_value() &&
-          *compiled.cube_level != item.cube_level) {
-        return Status::InvalidArgument(
-            "all CUBE_ aggregates in a query must use one time level");
+    switch (item.kind) {
+      case SelectItem::Kind::kCubeAggregate:
+        if (compiled.cube_level.has_value() &&
+            *compiled.cube_level != item.cube_level) {
+          return Status::InvalidArgument(
+              "all CUBE_ aggregates in a query must use one time level");
+        }
+        compiled.cube_level = item.cube_level;
+        [[fallthrough]];
+      case SelectItem::Kind::kAggregate:
+        ++compiled.num_aggs;
+        needs_sum = needs_sum || item.aggregate == AggregateFunction::kSum ||
+                    item.aggregate == AggregateFunction::kAvg;
+        break;
+      case SelectItem::Kind::kStar:
+        if (has_agg) break;
+        for (const char* name :
+             ast.view == View::kSegment
+                 ? std::vector<const char*>{"Tid", "StartTime", "EndTime",
+                                            "SI", "Mid"}
+                 : std::vector<const char*>{"Tid", "TS", "Value"}) {
+          compiled.projection.push_back(*ResolveColumn(name));
+        }
+        break;
+      case SelectItem::Kind::kColumn: {
+        MODELARDB_ASSIGN_OR_RETURN(ColumnRef column,
+                                   ResolveColumn(item.column));
+        if (!has_agg) compiled.projection.push_back(std::move(column));
+        break;
       }
-      compiled.cube_level = item.cube_level;
-    }
-    if (item.kind == SelectItem::Kind::kColumn &&
-        !EqualsIgnoreCase(item.column, "Tid") &&
-        !EqualsIgnoreCase(item.column, "TS") &&
-        !EqualsIgnoreCase(item.column, "Value") &&
-        !EqualsIgnoreCase(item.column, "StartTime") &&
-        !EqualsIgnoreCase(item.column, "EndTime") &&
-        !EqualsIgnoreCase(item.column, "SI") &&
-        !EqualsIgnoreCase(item.column, "Mid")) {
-      MODELARDB_RETURN_NOT_OK(ResolveDimensionColumn(item.column).status());
     }
   }
+  // Segment rows carry segment metadata; point rows carry the point.
+  for (const ColumnRef& column : compiled.projection) {
+    const bool point = column.kind == ColumnRef::Kind::kTs ||
+                       column.kind == ColumnRef::Kind::kValue;
+    if (column.kind != ColumnRef::Kind::kTid &&
+        column.kind != ColumnRef::Kind::kMember &&
+        point != (ast.view == View::kDataPoint)) {
+      return Status::InvalidArgument(column.display +
+                                     " is not a column of this view");
+    }
+  }
+
+  // The summary index (DESIGN.md §3c). COUNT/MIN/MAX are order-free, so
+  // block pre-folds and segment summaries fold them exactly in either view.
+  // SUM/AVG keep the decode path's reduction tree: the Segment View sums
+  // stored-unit range aggregates, which the per-segment summaries are;
+  // the Data Point View sums scaled points, which no summary holds.
+  // Rollups bucket inside segments, so they always decode.
+  if (has_agg && !compiled.cube_level.has_value()) {
+    if (!needs_sum) {
+      compiled.covered_blocks = CoveredBlockUse::kPreFolds;
+    } else if (ast.view == View::kSegment) {
+      compiled.covered_blocks = CoveredBlockUse::kSegmentSummaries;
+    }
+  }
+  compiled.full_range_summaries =
+      compiled.covered_blocks != CoveredBlockUse::kDecode;
+  compiled.range_fold = ast.view == View::kSegment ? RangeFold::kStoredUnits
+                                                   : RangeFold::kScaledPoints;
   return compiled;
 }
 
@@ -441,8 +503,8 @@ std::vector<Cell> QueryEngine::KeyFor(const CompiledQuery& compiled,
                                       Tid tid) const {
   std::vector<Cell> key;
   key.reserve(compiled.key_parts.size());
-  for (const KeyPart& part : compiled.key_parts) {
-    if (part.kind == KeyPart::Kind::kTid) {
+  for (const ColumnRef& part : compiled.key_parts) {
+    if (part.kind == ColumnRef::Kind::kTid) {
       key.emplace_back(static_cast<int64_t>(tid));
     } else {
       key.emplace_back(catalog_->Member(tid, part.dim_index, part.level));
@@ -451,29 +513,67 @@ std::vector<Cell> QueryEngine::KeyFor(const CompiledQuery& compiled,
   return key;
 }
 
+std::vector<Cell> QueryEngine::ProjectRow(const CompiledQuery& compiled,
+                                          Tid tid, const Segment& segment,
+                                          Timestamp ts, double value) const {
+  std::vector<Cell> row;
+  row.reserve(compiled.projection.size());
+  for (const ColumnRef& column : compiled.projection) {
+    switch (column.kind) {
+      case ColumnRef::Kind::kTid:
+        row.emplace_back(static_cast<int64_t>(tid));
+        break;
+      case ColumnRef::Kind::kTs:
+        row.emplace_back(ts);
+        break;
+      case ColumnRef::Kind::kValue:
+        row.emplace_back(value);
+        break;
+      case ColumnRef::Kind::kStartTime:
+        row.emplace_back(segment.start_time);
+        break;
+      case ColumnRef::Kind::kEndTime:
+        row.emplace_back(segment.end_time);
+        break;
+      case ColumnRef::Kind::kSi:
+        row.emplace_back(static_cast<int64_t>(segment.si));
+        break;
+      case ColumnRef::Kind::kMid:
+        row.emplace_back(static_cast<int64_t>(segment.mid));
+        break;
+      case ColumnRef::Kind::kMember:
+        row.emplace_back(
+            catalog_->Member(tid, column.dim_index, column.level));
+        break;
+    }
+  }
+  return row;
+}
+
 Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
-    const CompiledQuery& compiled, const BlockView& view, size_t num_aggs,
-    bool needs_sum, Fold* fold) const {
+    const CompiledQuery& compiled, const BlockView& view, Fold* fold) const {
   const SealedBlock& block = *view.block;
   const TimeSeriesGroup& group = groups_[view.gid - 1];
   const size_t group_size = group.tids.size();
   if (block.counts.size() != group_size) return BlockAction::kFallback;
 
   // Resolve the selected group positions once per block, applying the
-  // value zone map. The zone map bounds every segment's statistics, so a
-  // contained/disjoint decision here implies the same RelateStats verdict
-  // for each segment the exhaustive path would have reached.
+  // value zone map. The zone map bounds every segment's statistics, and
+  // scaling constants are positive (CheckScaling), so a contained/disjoint
+  // decision here implies the same RelateStats verdict for each segment
+  // the segment path would have reached.
   struct Sel {
     int pos;
     Tid tid;
     double scaling;
+    std::vector<AggState>* states;
   };
   std::vector<Sel> selected;
   selected.reserve(group_size);
   for (size_t pos = 0; pos < group_size; ++pos) {
     // A position no segment of the block represents contributes nothing;
     // dropping it here also keeps its group-by key uncreated, exactly as
-    // the exhaustive path leaves it.
+    // the segment path leaves it.
     if (block.counts[pos] == 0) continue;
     Tid tid = group.tids[pos];
     if (!compiled.selected_tids.empty() &&
@@ -482,9 +582,6 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
     }
     double scaling = catalog_->Get(tid).scaling;
     if (compiled.has_value_predicate) {
-      // Division by a non-positive scaling flips/degenerates the bounds;
-      // let the per-segment path reason about it.
-      if (!(scaling > 0.0)) return BlockAction::kFallback;
       double lo = block.min_value / scaling;
       double hi = block.max_value / scaling;
       if (hi < compiled.min_value || lo > compiled.max_value) {
@@ -494,11 +591,16 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
         return BlockAction::kFallback;  // Straddles: decide per segment.
       }
     }
-    selected.push_back(Sel{static_cast<int>(pos), tid, scaling});
+    selected.push_back(Sel{static_cast<int>(pos), tid, scaling, nullptr});
   }
   if (selected.empty()) return BlockAction::kSkipped;
+  // The group-by states are resolved once per block (std::map references
+  // are stable), and only now: a fallback must leave no key behind.
+  for (Sel& s : selected) {
+    s.states = &StatesFor(fold, KeyFor(compiled, s.tid), compiled.num_aggs);
+  }
 
-  if (!needs_sum) {
+  if (compiled.covered_blocks == CoveredBlockUse::kPreFolds) {
     // COUNT/MIN/MAX only: the block's pre-folded aggregates are order-free
     // exact folds, so consuming them matches the per-segment fold bit for
     // bit. (The sum lane is also folded in but never finalized.)
@@ -508,61 +610,28 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
       summary.min = block.mins[s.pos];
       summary.max = block.maxs[s.pos];
       summary.count = block.counts[s.pos];
-      auto& states = fold->groups[KeyFor(compiled, s.tid)];
-      if (states.empty()) states.resize(num_aggs);
-      for (auto& state : states) UpdateState(&state, summary, s.scaling);
+      FoldSummary(s.states, summary, s.scaling);
     }
     return BlockAction::kSummarized;
   }
 
   // SUM/AVG selected: fold the per-segment materialized summaries in
   // segment order — exactly the values and order the decoding path
-  // produces, preserving the floating-point reduction tree. The group-by
-  // states are resolved once per block (std::map references are stable),
-  // not once per segment; the segment-major, position-minor fold order is
-  // unchanged, which matters when several positions share one key.
-  std::vector<std::vector<AggState>*> states_of(selected.size());
-  for (size_t k = 0; k < selected.size(); ++k) {
-    auto& states = fold->groups[KeyFor(compiled, selected[k].tid)];
-    if (states.empty()) states.resize(num_aggs);
-    states_of[k] = &states;
-  }
+  // produces, preserving the floating-point reduction tree. The
+  // segment-major, position-minor fold order matters when several
+  // positions share one key.
   auto fold_segment = [&](const Segment& segment,
                           const SegmentSummary* summary) {
-    if (segment.gap_mask == 0) {
-      // Gap-free segment (the common case): decoder columns equal group
-      // positions, no matching scan needed.
-      for (size_t k = 0; k < selected.size(); ++k) {
-        const Sel& s = selected[k];
-        AggregateSummary agg;
-        agg.sum = summary->sum(s.pos);
-        agg.min = summary->min(s.pos);
-        agg.max = summary->max(s.pos);
-        agg.count = segment.Length();
-        for (auto& state : *states_of[k]) UpdateState(&state, agg, s.scaling);
+    for (const Sel& s : selected) {
+      int column = s.pos;
+      if (segment.gap_mask != 0) {
+        if (segment.SeriesInGap(s.pos)) continue;
+        // The decoder column: the position less the gaps before it.
+        column -= std::popcount(segment.gap_mask &
+                                ((uint64_t{1} << s.pos) - 1));
       }
-      return Status::OK();
-    }
-    int column = 0;
-    size_t next = 0;
-    for (size_t pos = 0; pos < group_size && next < selected.size(); ++pos) {
-      if (segment.SeriesInGap(static_cast<int>(pos))) continue;
-      int col = column++;
-      while (next < selected.size() &&
-             selected[next].pos < static_cast<int>(pos)) {
-        ++next;
-      }
-      if (next >= selected.size() ||
-          selected[next].pos != static_cast<int>(pos)) {
-        continue;
-      }
-      const Sel& s = selected[next];
-      AggregateSummary agg;
-      agg.sum = summary->sum(col);
-      agg.min = summary->min(col);
-      agg.max = summary->max(col);
-      agg.count = segment.Length();
-      for (auto& state : *states_of[next]) UpdateState(&state, agg, s.scaling);
+      FoldSummary(s.states, FullRange(*summary, column, segment.Length()),
+                  s.scaling);
     }
     return Status::OK();
   };
@@ -570,292 +639,136 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
   return BlockAction::kSummarized;
 }
 
-Status QueryEngine::SegmentViewFold(const CompiledQuery& compiled,
-                                    const SegmentStore& store,
-                                    const SegmentFilter& filter, Fold* fold,
-                                    ScanStats* stats) const {
-  const bool has_agg = compiled.ast.HasAggregates();
-  size_t num_aggs = 0;
-  for (const SelectItem& item : compiled.ast.select) {
-    if (item.kind != SelectItem::Kind::kColumn &&
-        item.kind != SelectItem::Kind::kStar) {
-      ++num_aggs;
+Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
+                               const SegmentStore& store,
+                               const SegmentFilter& filter, Fold* fold,
+                               ScanStats* stats) const {
+  const size_t num_aggs = compiled.num_aggs;
+  IndexedScanCallbacks callbacks;
+  if (compiled.covered_blocks != CoveredBlockUse::kDecode) {
+    callbacks.on_covered_block = [&](const BlockView& view) {
+      return ConsumeCoveredBlock(compiled, view, fold);
+    };
+  }
+  callbacks.on_segment = [&](const Segment& segment,
+                             const SegmentSummary* seg_summary) -> Status {
+    std::vector<SelectedSeries> series = SelectSeries(compiled, segment);
+    if (series.empty()) return Status::OK();
+    if (num_aggs == 0 && compiled.ast.view == View::kSegment) {
+      // Segment metadata rows (one per selected series).
+      for (const SelectedSeries& s : series) {
+        fold->rows.push_back(ProjectRow(compiled, s.tid, segment, 0, 0.0));
+      }
+      return Status::OK();
     }
-  }
-  const bool needs_sum = NeedsExactSumFold(compiled.ast);
 
-  IndexedScanCallbacks callbacks;
-  if (has_agg && !compiled.cube_level.has_value()) {
-    // Rollups bucket by calendar interval inside segments, so they always
-    // decode; plain aggregates answer covered blocks from summaries.
-    callbacks.on_covered_block = [&](const BlockView& view) {
-      return ConsumeCoveredBlock(compiled, view, num_aggs, needs_sum, fold);
+    int64_t from_row, to_row;
+    if (!RowRange(segment, compiled.filter, &from_row, &to_row)) {
+      return Status::OK();
+    }
+    const bool full_range_summary =
+        from_row == 0 && to_row == segment.Length() - 1 &&
+        seg_summary != nullptr && seg_summary->valid();
+    // Decoders are created lazily: segments folded from their summaries
+    // never need one.
+    std::unique_ptr<SegmentDecoder> decoder;
+    auto ensure_decoder = [&]() -> Status {
+      if (decoder != nullptr) return Status::OK();
+      int represented = segment.RepresentedSeries(
+          static_cast<int>(groups_[segment.gid - 1].tids.size()));
+      auto decoder_result = registry_->CreateDecoder(
+          segment.mid, segment.parameters, represented,
+          static_cast<int>(segment.Length()));
+      if (!decoder_result.ok()) return decoder_result.status();
+      decoder = std::move(*decoder_result);
+      ++stats->segments_decoded;
+      stats->bytes_decoded += static_cast<int64_t>(segment.StorageBytes());
+      return Status::OK();
     };
-  }
-  callbacks.on_segment = [&](const Segment& segment,
-                             const SegmentSummary* seg_summary) -> Status {
-        std::vector<SelectedSeries> series = SelectSeries(compiled, segment);
-        if (series.empty()) return Status::OK();
-        if (!has_agg) {
-          // Segment metadata rows (one per selected series).
-          for (const SelectedSeries& s : series) {
-            std::vector<Cell> row;
-            for (const SelectItem& item : compiled.ast.select) {
-              if (item.kind == SelectItem::Kind::kStar) {
-                row.emplace_back(static_cast<int64_t>(s.tid));
-                row.emplace_back(segment.start_time);
-                row.emplace_back(segment.end_time);
-                row.emplace_back(static_cast<int64_t>(segment.si));
-                row.emplace_back(static_cast<int64_t>(segment.mid));
-              } else if (EqualsIgnoreCase(item.column, "Tid")) {
-                row.emplace_back(static_cast<int64_t>(s.tid));
-              } else if (EqualsIgnoreCase(item.column, "StartTime")) {
-                row.emplace_back(segment.start_time);
-              } else if (EqualsIgnoreCase(item.column, "EndTime")) {
-                row.emplace_back(segment.end_time);
-              } else if (EqualsIgnoreCase(item.column, "SI")) {
-                row.emplace_back(static_cast<int64_t>(segment.si));
-              } else if (EqualsIgnoreCase(item.column, "Mid")) {
-                row.emplace_back(static_cast<int64_t>(segment.mid));
-              } else {
-                auto resolved = ResolveDimensionColumn(item.column);
-                if (!resolved.ok()) return resolved.status();
-                row.emplace_back(catalog_->Member(s.tid, resolved->first,
-                                                  resolved->second));
-              }
-            }
-            fold->rows.push_back(std::move(row));
-          }
-          return Status::OK();
-        }
 
-        int64_t from_row, to_row;
-        if (!RowRange(segment, compiled.filter, &from_row, &to_row)) {
-          return Status::OK();
-        }
-        const bool full_range =
-            from_row == 0 &&
-            to_row == static_cast<int64_t>(segment.Length()) - 1;
-        // Decoders are created lazily: fully covered segments with
-        // materialized summaries never need one.
-        std::unique_ptr<SegmentDecoder> decoder;
-        auto ensure_decoder = [&]() -> Status {
-          if (decoder != nullptr) return Status::OK();
-          int represented = segment.RepresentedSeries(
-              static_cast<int>(groups_[segment.gid - 1].tids.size()));
-          auto decoder_result = registry_->CreateDecoder(
-              segment.mid, segment.parameters, represented,
-              static_cast<int>(segment.Length()));
-          if (!decoder_result.ok()) return decoder_result.status();
-          decoder = std::move(*decoder_result);
-          ++stats->segments_decoded;
-          stats->bytes_decoded +=
-              static_cast<int64_t>(segment.StorageBytes());
-          return Status::OK();
-        };
-
-        for (const SelectedSeries& s : series) {
-          StatsRelation relation = RelateStats(compiled, segment, s.scaling);
-          if (relation == StatsRelation::kDisjoint) continue;  // Pruned.
-          std::vector<Cell> base_key = KeyFor(compiled, s.tid);
-          if (relation == StatsRelation::kOverlapping) {
-            // The segment straddles the value range: reconstruct and
-            // filter point-wise (the statistics only prune whole
-            // segments).
-            MODELARDB_RETURN_NOT_OK(ensure_decoder());
-            for (int64_t row = from_row; row <= to_row; ++row) {
-              double value =
-                  static_cast<double>(
-                      decoder->ValueAt(static_cast<int>(row), s.column)) /
-                  s.scaling;
-              if (value < compiled.min_value || value > compiled.max_value) {
-                continue;
-              }
-              std::vector<Cell> key = base_key;
-              if (compiled.cube_level.has_value()) {
-                Timestamp ts = segment.start_time + row * segment.si;
-                key.emplace_back(TimeBucket(ts, *compiled.cube_level));
-              }
-              auto& states = fold->groups[key];
-              if (states.empty()) states.resize(num_aggs);
-              for (auto& state : states) UpdateState(&state, value);
-            }
-            continue;
-          }
-          if (!compiled.cube_level.has_value()) {
-            AggregateSummary summary;
-            if (full_range && seg_summary != nullptr && seg_summary->valid()) {
-              // Materialized full-range aggregates: bit-identical to the
-              // AggregateRange call below by construction.
-              summary.count = segment.Length();
-              summary.sum = seg_summary->sum(s.column);
-              summary.min = seg_summary->min(s.column);
-              summary.max = seg_summary->max(s.column);
-            } else {
-              MODELARDB_RETURN_NOT_OK(ensure_decoder());
-              summary = decoder->AggregateRange(static_cast<int>(from_row),
-                                                static_cast<int>(to_row),
-                                                s.column);
-            }
-            auto& states = fold->groups[base_key];
-            if (states.empty()) states.resize(num_aggs);
-            for (auto& state : states) UpdateState(&state, summary, s.scaling);
-          } else {
-            // Algorithm 6: per calendar interval of the requested level.
-            MODELARDB_RETURN_NOT_OK(ensure_decoder());
-            TimeLevel level = *compiled.cube_level;
-            int64_t row = from_row;
-            while (row <= to_row) {
-              Timestamp ts0 = segment.start_time + row * segment.si;
-              Timestamp boundary = CeilToLevel(ts0, level);
-              Timestamp last_ts = std::min(
-                  segment.start_time + to_row * segment.si, boundary - 1);
-              int64_t row2 = (last_ts - segment.start_time) / segment.si;
-              AggregateSummary summary = decoder->AggregateRange(
-                  static_cast<int>(row), static_cast<int>(row2), s.column);
-              std::vector<Cell> key = base_key;
-              key.emplace_back(TimeBucket(ts0, level));
-              auto& states = fold->groups[key];
-              if (states.empty()) states.resize(num_aggs);
-              for (auto& state : states) {
-                UpdateState(&state, summary, s.scaling);
-              }
-              row = row2 + 1;
-            }
-          }
-        }
-        return Status::OK();
-  };
-  return store.ScanIndexed(filter, callbacks, stats);
-}
-
-Status QueryEngine::DataPointViewFold(const CompiledQuery& compiled,
-                                      const SegmentStore& store,
-                                      const SegmentFilter& filter,
-                                      Fold* fold, ScanStats* stats) const {
-  const bool has_agg = compiled.ast.HasAggregates();
-  size_t num_aggs = 0;
-  for (const SelectItem& item : compiled.ast.select) {
-    if (item.kind == SelectItem::Kind::kAggregate) ++num_aggs;
-  }
-  const bool needs_sum = NeedsExactSumFold(compiled.ast);
-
-  IndexedScanCallbacks callbacks;
-  if (has_agg && !needs_sum) {
-    // The Data Point View folds per point, so SUM/AVG depend on the
-    // per-point summation order and always decode; COUNT/MIN/MAX folds
-    // are order-free and match the summaries bit for bit.
-    callbacks.on_covered_block = [&](const BlockView& view) {
-      return ConsumeCoveredBlock(compiled, view, num_aggs,
-                                 /*needs_sum=*/false, fold);
-    };
-  }
-  callbacks.on_segment = [&](const Segment& segment,
-                             const SegmentSummary* seg_summary) -> Status {
-        std::vector<SelectedSeries> series = SelectSeries(compiled, segment);
-        if (series.empty()) return Status::OK();
-        int64_t from_row, to_row;
-        if (!RowRange(segment, compiled.filter, &from_row, &to_row)) {
-          return Status::OK();
-        }
-        const bool full_range =
-            from_row == 0 &&
-            to_row == static_cast<int64_t>(segment.Length()) - 1;
-        std::unique_ptr<SegmentDecoder> decoder;
-        auto ensure_decoder = [&]() -> Status {
-          if (decoder != nullptr) return Status::OK();
-          int represented = segment.RepresentedSeries(
-              static_cast<int>(groups_[segment.gid - 1].tids.size()));
-          auto decoder_result = registry_->CreateDecoder(
-              segment.mid, segment.parameters, represented,
-              static_cast<int>(segment.Length()));
-          if (!decoder_result.ok()) return decoder_result.status();
-          decoder = std::move(*decoder_result);
-          ++stats->segments_decoded;
-          stats->bytes_decoded +=
-              static_cast<int64_t>(segment.StorageBytes());
-          return Status::OK();
-        };
-
-        for (const SelectedSeries& s : series) {
-          StatsRelation relation = RelateStats(compiled, segment, s.scaling);
-          if (relation == StatsRelation::kDisjoint) continue;  // Pruned.
-          bool must_filter = relation == StatsRelation::kOverlapping;
-          std::vector<Cell> base_key;
-          if (has_agg) base_key = KeyFor(compiled, s.tid);
-          if (has_agg && !needs_sum && !must_filter && full_range &&
-              seg_summary != nullptr && seg_summary->valid()) {
-            // COUNT/MIN/MAX over the whole segment: the materialized
-            // aggregates fold to the same states as the per-point loop
-            // (min/max are order-free; division by a positive scaling is
-            // monotone, so min/max commute with it bitwise).
-            AggregateSummary summary;
-            summary.count = segment.Length();
-            summary.sum = seg_summary->sum(s.column);
-            summary.min = seg_summary->min(s.column);
-            summary.max = seg_summary->max(s.column);
-            auto& states = fold->groups[base_key];
-            if (states.empty()) states.resize(num_aggs);
-            for (auto& state : states) UpdateState(&state, summary, s.scaling);
-            continue;
-          }
+    for (const SelectedSeries& s : series) {
+      StatsRelation relation = RelateStats(compiled, segment, s.scaling);
+      if (relation == StatsRelation::kDisjoint) continue;  // Pruned.
+      // The group key; a rollup's last cell is the time bucket, set per
+      // interval or point.
+      std::vector<Cell> key;
+      if (num_aggs > 0) key = KeyFor(compiled, s.tid);
+      if (compiled.cube_level.has_value()) key.emplace_back(int64_t{0});
+      if (num_aggs > 0 && relation == StatsRelation::kContained) {
+        if (compiled.cube_level.has_value()) {
+          // Algorithm 6: per calendar interval of the requested level.
           MODELARDB_RETURN_NOT_OK(ensure_decoder());
-          if (has_agg && !must_filter) {
-            // No value predicate to apply per point: fold the contiguous
-            // decoded span through the dispatched SIMD kernels. The
-            // canonical reduction tree makes the result byte-identical
-            // to the scalar tier at any parallelism (DESIGN.md §3f);
-            // scaling divides per element inside the fold, matching the
-            // per-point loop below.
-            AggregateSummary folded = decoder->AggregateRangeScaled(
-                static_cast<int>(from_row), static_cast<int>(to_row),
-                s.column, s.scaling);
-            auto& states = fold->groups[base_key];
-            if (states.empty()) states.resize(num_aggs);
-            for (auto& state : states) {
-              UpdateState(&state, folded, /*scaling=*/1.0);
-            }
-            continue;
+          TimeLevel level = *compiled.cube_level;
+          int64_t row = from_row;
+          while (row <= to_row) {
+            Timestamp ts0 = segment.start_time + row * segment.si;
+            Timestamp boundary = CeilToLevel(ts0, level);
+            Timestamp last_ts = std::min(
+                segment.start_time + to_row * segment.si, boundary - 1);
+            int64_t row2 = (last_ts - segment.start_time) / segment.si;
+            AggregateSummary summary = decoder->AggregateRange(
+                static_cast<int>(row), static_cast<int>(row2), s.column);
+            key.back() = TimeBucket(ts0, level);
+            FoldSummary(&StatesFor(fold, key, num_aggs), summary, s.scaling);
+            row = row2 + 1;
           }
-          for (int64_t row = from_row; row <= to_row; ++row) {
-            Timestamp ts = segment.start_time + row * segment.si;
-            double value =
-                static_cast<double>(decoder->ValueAt(static_cast<int>(row),
-                                                     s.column)) /
-                s.scaling;
-            if (must_filter &&
-                (value < compiled.min_value || value > compiled.max_value)) {
-              continue;
-            }
-            if (has_agg) {
-              auto& states = fold->groups[base_key];
-              if (states.empty()) states.resize(num_aggs);
-              for (auto& state : states) UpdateState(&state, value);
-            } else {
-              std::vector<Cell> out_row;
-              for (const SelectItem& item : compiled.ast.select) {
-                if (item.kind == SelectItem::Kind::kStar) {
-                  out_row.emplace_back(static_cast<int64_t>(s.tid));
-                  out_row.emplace_back(ts);
-                  out_row.emplace_back(value);
-                } else if (EqualsIgnoreCase(item.column, "Tid")) {
-                  out_row.emplace_back(static_cast<int64_t>(s.tid));
-                } else if (EqualsIgnoreCase(item.column, "TS")) {
-                  out_row.emplace_back(ts);
-                } else if (EqualsIgnoreCase(item.column, "Value")) {
-                  out_row.emplace_back(value);
-                } else {
-                  auto resolved = ResolveDimensionColumn(item.column);
-                  if (!resolved.ok()) return resolved.status();
-                  out_row.emplace_back(catalog_->Member(
-                      s.tid, resolved->first, resolved->second));
-                }
-              }
-              fold->rows.push_back(std::move(out_row));
-            }
-          }
+          continue;
         }
-        return Status::OK();
+        std::vector<AggState>& states = StatesFor(fold, key, num_aggs);
+        if (compiled.full_range_summaries && full_range_summary) {
+          FoldSummary(&states,
+                      FullRange(*seg_summary, s.column, segment.Length()),
+                      s.scaling);
+          continue;
+        }
+        MODELARDB_RETURN_NOT_OK(ensure_decoder());
+        if (compiled.range_fold == RangeFold::kStoredUnits) {
+          FoldSummary(&states,
+                      decoder->AggregateRange(static_cast<int>(from_row),
+                                              static_cast<int>(to_row),
+                                              s.column),
+                      s.scaling);
+          continue;
+        }
+        // The SIMD kernels divide each point by the scaling, like the point
+        // loop below; their canonical reduction tree is byte-identical on
+        // every tier and at any parallelism (DESIGN.md §3f).
+        const AggregateSummary scaled = decoder->AggregateRangeScaled(
+            static_cast<int>(from_row), static_cast<int>(to_row), s.column,
+            s.scaling);
+        for (AggState& state : states) {
+          state.Merge({scaled.count, scaled.sum, scaled.min, scaled.max});
+        }
+        continue;
+      }
+
+      // Point by point: rows to output, or a value range the segment
+      // straddles (its statistics only prune whole segments).
+      MODELARDB_RETURN_NOT_OK(ensure_decoder());
+      const bool must_filter = relation == StatsRelation::kOverlapping;
+      for (int64_t row = from_row; row <= to_row; ++row) {
+        Timestamp ts = segment.start_time + row * segment.si;
+        double value =
+            static_cast<double>(
+                decoder->ValueAt(static_cast<int>(row), s.column)) /
+            s.scaling;
+        if (must_filter &&
+            (value < compiled.min_value || value > compiled.max_value)) {
+          continue;
+        }
+        if (num_aggs == 0) {
+          fold->rows.push_back(ProjectRow(compiled, s.tid, segment, ts, value));
+          continue;
+        }
+        if (compiled.cube_level.has_value()) {
+          key.back() = TimeBucket(ts, *compiled.cube_level);
+        }
+        for (AggState& state : StatesFor(fold, key, num_aggs)) {
+          UpdateState(&state, value);
+        }
+      }
+    }
+    return Status::OK();
   };
   return store.ScanIndexed(filter, callbacks, stats);
 }
@@ -908,11 +821,7 @@ Result<PartialResult> QueryEngine::ExecutePartial(
       filter.gids = {gids[i]};
       Fold fold;
       ScanStats morsel_stats;
-      statuses[i] = compiled.ast.view == View::kSegment
-                        ? SegmentViewFold(compiled, store, filter, &fold,
-                                          &morsel_stats)
-                        : DataPointViewFold(compiled, store, filter, &fold,
-                                            &morsel_stats);
+      statuses[i] = FoldMorsel(compiled, store, filter, &fold, &morsel_stats);
       morsel_stats.queue_wait_ns = start_ns - submit_ns;
       morsel_stats.cpu_ns = obs::ThreadCpuNanos() - cpu_begin_ns;
       partial.morsels[i] = {gids[i], std::move(fold)};
@@ -955,7 +864,7 @@ Result<QueryResult> QueryEngine::MergeFinalize(
   QueryResult result;
   const bool has_agg = compiled.ast.HasAggregates();
   if (has_agg) {
-    for (const KeyPart& part : compiled.key_parts) {
+    for (const ColumnRef& part : compiled.key_parts) {
       result.columns.push_back(part.display);
     }
     if (compiled.cube_level.has_value()) {
@@ -983,23 +892,11 @@ Result<QueryResult> QueryEngine::MergeFinalize(
       result.rows.push_back(std::move(row));
     }
   } else {
-    for (const SelectItem& item : compiled.ast.select) {
-      if (item.kind == SelectItem::Kind::kStar) {
-        if (compiled.ast.view == View::kSegment) {
-          result.columns.insert(result.columns.end(),
-                                {"Tid", "StartTime", "EndTime", "SI", "Mid"});
-        } else {
-          result.columns.insert(result.columns.end(), {"Tid", "TS", "Value"});
-        }
-      } else {
-        result.columns.push_back(item.display);
-      }
+    for (const ColumnRef& column : compiled.projection) {
+      result.columns.push_back(column.display);
     }
     result.rows = std::move(merged.rows);
-    std::sort(result.rows.begin(), result.rows.end(),
-              [](const std::vector<Cell>& a, const std::vector<Cell>& b) {
-                return a < b;
-              });
+    std::sort(result.rows.begin(), result.rows.end());
   }
 
   if (compiled.ast.order_by.has_value()) {
@@ -1022,10 +919,7 @@ Result<QueryResult> QueryEngine::MergeFinalize(
                                                : CellLess(a[index], b[index]);
                      });
   }
-  if (compiled.ast.limit.has_value() &&
-      static_cast<int64_t>(result.rows.size()) > *compiled.ast.limit) {
-    result.rows.resize(*compiled.ast.limit);
-  }
+  ApplyLimit(compiled.ast.limit, &result);
   return result;
 }
 
@@ -1034,31 +928,29 @@ Result<std::string> QueryEngine::Explain(const Query& ast) const {
   stripped.explain = false;
   stripped.analyze = false;
   MODELARDB_ASSIGN_OR_RETURN(CompiledQuery compiled, Compile(stripped));
+  auto list = [](const auto& items, auto name) {
+    std::string text;
+    for (const auto& item : items) {
+      text += (text.empty() ? "" : ", ") + name(item);
+    }
+    return text;
+  };
+  auto number = [](int64_t n) { return std::to_string(n); };
+  auto display = [](const ColumnRef& column) { return column.display; };
   std::string out;
   out += std::string("view: ") +
          (ast.view == View::kSegment ? "Segment" : "DataPoint") + "\n";
-  out += "push-down gids: ";
-  if (compiled.filter.gids.empty()) {
-    out += "all";
-  } else {
-    for (size_t i = 0; i < compiled.filter.gids.size(); ++i) {
-      out += (i ? ", " : "") + std::to_string(compiled.filter.gids[i]);
-    }
-  }
-  out += "\n";
+  out += "push-down gids: " +
+         (compiled.filter.gids.empty() ? "all"
+                                       : list(compiled.filter.gids, number)) +
+         "\n";
   if (compiled.filter.min_time != std::numeric_limits<Timestamp>::min() ||
       compiled.filter.max_time != std::numeric_limits<Timestamp>::max()) {
     out += "push-down time: [" + std::to_string(compiled.filter.min_time) +
            ", " + std::to_string(compiled.filter.max_time) + "]\n";
   }
   if (!compiled.selected_tids.empty()) {
-    out += "series filter: ";
-    bool first = true;
-    for (Tid tid : compiled.selected_tids) {
-      out += (first ? "" : ", ") + std::to_string(tid);
-      first = false;
-    }
-    out += "\n";
+    out += "series filter: " + list(compiled.selected_tids, number) + "\n";
   }
   if (compiled.has_value_predicate) {
     out += "value range (segment statistics pruning): [" +
@@ -1066,29 +958,29 @@ Result<std::string> QueryEngine::Explain(const Query& ast) const {
            std::to_string(compiled.max_value) + "]\n";
   }
   if (!compiled.key_parts.empty()) {
-    out += "group by:";
-    for (const KeyPart& part : compiled.key_parts) {
-      out += " " + part.display;
-    }
-    out += "\n";
+    out += "group by: " + list(compiled.key_parts, display) + "\n";
   }
   if (compiled.cube_level.has_value()) {
     out += std::string("time rollup: per ") +
            TimeLevelName(*compiled.cube_level) + " (Algorithm 6)\n";
   }
-  if (ast.HasAggregates()) {
-    out += "summary index: ";
-    if (compiled.cube_level.has_value()) {
-      out += "rollup decodes per interval\n";
-    } else if (NeedsExactSumFold(stripped)) {
-      out += "fold per-segment summaries (exact SUM)\n";
-    } else {
-      out += "consume block aggregates\n";
-    }
+  if (compiled.num_aggs > 0) {
+    static constexpr const char* kCoveredBlocks[] = {
+        "decode covered blocks", "consume block aggregates",
+        "fold per-segment summaries (exact SUM)"};
+    out += std::string("summary index: ") +
+           kCoveredBlocks[static_cast<int>(compiled.covered_blocks)] + "\n";
+    out += compiled.full_range_summaries
+               ? "segment summaries: whole segments fold their summary\n"
+               : "segment summaries: not used, segments decode\n";
+    out += compiled.range_fold == RangeFold::kStoredUnits
+               ? "row ranges: fold stored units, then divide by scaling\n"
+               : "row ranges: divide each point by scaling, then fold\n";
+    out += "execution: iterate aggregates on models (Algorithm 5)\n";
+  } else {
+    out += "projection: " + list(compiled.projection, display) + "\n";
+    out += "execution: reconstruct matching rows\n";
   }
-  out += ast.HasAggregates()
-             ? "execution: iterate aggregates on models (Algorithm 5)\n"
-             : "execution: reconstruct matching rows\n";
   return out;
 }
 

@@ -11,6 +11,12 @@
 //   - constant-time aggregation on constant/linear models via
 //     SegmentDecoder::AggregateRange.
 //
+// Compile decides the plan once: names resolved to columns, and how the
+// one iterate step (a fold shared by both views) uses the summary index —
+// what a fully covered block contributes, whether a whole segment folds
+// its materialized summary, and how a decoded row range is scaled. The
+// fold follows the plan and EXPLAIN prints it, so the two cannot disagree.
+//
 // Execute is the one query orchestration: a single node is a one-worker
 // cluster. It runs iterate on every store partition (ExecutePartial: one
 // morsel per Gid on the thread pool) and merges at the master
@@ -46,16 +52,33 @@ namespace query {
 // passes its one store, the cluster engine its workers' stores.
 using Partitions = std::vector<const SegmentStore*>;
 
-// Group-by key parts after name resolution.
-struct KeyPart {
-  enum class Kind { kTid, kMember };
+// A column after name resolution: a group-by key part, or a column a
+// non-aggregate query outputs.
+struct ColumnRef {
+  enum class Kind {
+    kTid, kTs, kValue, kStartTime, kEndTime, kSi, kMid,
+    kMember,  // The series' member at (dim_index, level).
+  };
   Kind kind = Kind::kTid;
   int dim_index = 0;  // kMember.
   int level = 0;      // kMember.
   std::string display;
 };
 
-// A compiled (rewritten + resolved) query.
+// What the fold takes from a block the query's time range fully covers.
+enum class CoveredBlockUse {
+  kDecode,            // Nothing: its segments are delivered one by one.
+  kPreFolds,          // Its pre-folded aggregates (COUNT/MIN/MAX only).
+  kSegmentSummaries,  // Its per-segment summaries, in segment order (SUM).
+};
+
+// How a decoded row range of a segment folds into aggregate states.
+enum class RangeFold {
+  kStoredUnits,   // AggregateRange, then / scaling once (Segment View).
+  kScaledPoints,  // AggregateRangeScaled: / scaling per point (Data Point).
+};
+
+// A compiled (rewritten + resolved) query and its plan.
 struct CompiledQuery {
   Query ast;
   SegmentFilter filter;           // Gids + time range (push-down, §6.2).
@@ -69,8 +92,19 @@ struct CompiledQuery {
   double min_value = -std::numeric_limits<double>::infinity();
   double max_value = std::numeric_limits<double>::infinity();
   bool has_value_predicate = false;
-  std::vector<KeyPart> key_parts;
+  std::vector<ColumnRef> key_parts;
   std::optional<TimeLevel> cube_level;  // Set when any CUBE_ aggregate.
+
+  // The plan. Every choice keeps answers bit-identical to decoding every
+  // segment (DESIGN.md §3c "Bit-identity rules").
+  size_t num_aggs = 0;  // Aggregate states per group; 0 outputs rows.
+  CoveredBlockUse covered_blocks = CoveredBlockUse::kDecode;
+  // A segment the time range covers whole, inside the value range, folds
+  // its materialized full-range summary instead of being decoded.
+  bool full_range_summaries = false;
+  RangeFold range_fold = RangeFold::kStoredUnits;
+  // Output columns of a non-aggregate query, `*` expanded for the view.
+  std::vector<ColumnRef> projection;
 };
 
 // Distributive/algebraic aggregate state (merged across workers).
@@ -142,8 +176,8 @@ class QueryEngine {
                               obs::Trace* trace = nullptr) const;
 
   // Renders the compiled plan of `ast`: view, push-down predicates (Gids,
-  // time range, value range), per-series filters, grouping and rollup.
-  // Also reachable through SQL as `EXPLAIN SELECT ...`.
+  // time range, value range), per-series filters, grouping, rollup and the
+  // fold's plan fields. Also reachable through SQL as `EXPLAIN SELECT ...`.
   Result<std::string> Explain(const Query& ast) const;
 
   // Distributed building blocks.
@@ -172,21 +206,16 @@ class QueryEngine {
   Gid GidOf(Tid tid) const { return gid_of_[tid - 1]; }
 
  private:
-  // Resolves a dimension column name ("Park" or "Location.Park" /
-  // "Location_Park") to (dimension index, level).
-  Result<std::pair<int, int>> ResolveDimensionColumn(
-      const std::string& name) const;
+  // Resolves a view column (Tid, TS, Value, StartTime, EndTime, SI, Mid)
+  // or a dimension column ("Park" or "Location.Park" / "Location_Park").
+  Result<ColumnRef> ResolveColumn(const std::string& name) const;
 
-  // Folds the segments of `store` matching `filter` (one morsel) into
-  // `fold`, accounting the scan in `stats`.
-  Status SegmentViewFold(const CompiledQuery& compiled,
-                         const SegmentStore& store,
-                         const SegmentFilter& filter, Fold* fold,
-                         ScanStats* stats) const;
-  Status DataPointViewFold(const CompiledQuery& compiled,
-                           const SegmentStore& store,
-                           const SegmentFilter& filter, Fold* fold,
-                           ScanStats* stats) const;
+  // Iterate for one morsel: folds the segments of `store` matching
+  // `filter` into `fold` as `compiled`'s plan says, accounting the scan in
+  // `stats`. One fold serves both views.
+  Status FoldMorsel(const CompiledQuery& compiled, const SegmentStore& store,
+                    const SegmentFilter& filter, Fold* fold,
+                    ScanStats* stats) const;
 
   // Positions (and Tids) of a segment's represented, selected series.
   struct SelectedSeries {
@@ -198,20 +227,19 @@ class QueryEngine {
                                            const Segment& segment) const;
 
   std::vector<Cell> KeyFor(const CompiledQuery& compiled, Tid tid) const;
+  // One output row of a non-aggregate query: a segment's metadata
+  // (Segment View) or the point (`ts`, `value`) of series `tid`.
+  std::vector<Cell> ProjectRow(const CompiledQuery& compiled, Tid tid,
+                               const Segment& segment, Timestamp ts,
+                               double value) const;
 
-  // Consumes a fully time-covered block from its summaries for a
-  // non-rollup aggregate query. When `needs_sum` (SUM/AVG selected) the
-  // per-segment materialized summaries are folded — the same arithmetic
-  // in the same order as decoding, so results stay byte-identical; for
-  // COUNT/MIN/MAX-only queries the block's order-free pre-folded
-  // aggregates are consumed directly. The SUM/AVG fold reads each
-  // segment's gap mask and length through the view, which pins a leased
-  // payload. Returns kFallback when the value zone map straddles the
-  // predicate (or a scaling is non-positive), so the exhaustive path
-  // decides per segment.
+  // Consumes a fully time-covered block as `compiled.covered_blocks`
+  // says. Folding per-segment summaries reads each segment's gap mask and
+  // length, which pins a leased payload. Returns kFallback when the value
+  // zone map straddles the predicate: the segment path decides per
+  // segment.
   Result<BlockAction> ConsumeCoveredBlock(const CompiledQuery& compiled,
                                           const BlockView& view,
-                                          size_t num_aggs, bool needs_sum,
                                           Fold* fold) const;
 
   const TimeSeriesCatalog* catalog_;

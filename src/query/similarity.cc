@@ -27,15 +27,15 @@ double IntervalGap(double a_lo, double a_hi, double b_lo, double b_hi) {
 }  // namespace
 
 Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
-    const SegmentStore& store, Tid tid, const std::vector<Value>& pattern,
+    const Partitions& partitions, Tid tid, const std::vector<Value>& pattern,
     int k, SimilarityStats* stats) const {
+  if (!catalog_->Contains(tid)) {
+    return Status::InvalidArgument("unknown Tid: " + std::to_string(tid));
+  }
   if (pattern.empty()) {
     return Status::InvalidArgument("pattern must not be empty");
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (!catalog_->Contains(tid)) {
-    return Status::InvalidArgument("unknown Tid: " + std::to_string(tid));
-  }
   const double scaling = catalog_->Get(tid).scaling;
   const Gid gid = engine_->GidOf(tid);
   const TimeSeriesGroup& group = engine_->groups()[gid - 1];
@@ -48,11 +48,13 @@ Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
   std::vector<Segment> segments;
   SegmentFilter filter;
   filter.gids = {gid};
-  MODELARDB_RETURN_NOT_OK(store.Scan(
-      filter, [&](const Segment& segment) {
-        if (!segment.SeriesInGap(position)) segments.push_back(segment);
-        return Status::OK();
-      }));
+  for (const SegmentStore* store : partitions) {
+    MODELARDB_RETURN_NOT_OK(store->Scan(
+        filter, [&](const Segment& segment) {
+          if (!segment.SeriesInGap(position)) segments.push_back(segment);
+          return Status::OK();
+        }));
+  }
   std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) {
               return a.start_time < b.start_time;
@@ -191,12 +193,12 @@ Result<std::vector<SimilarityMatch>> SimilaritySearch::TopK(
 }
 
 Result<std::vector<SimilarityMatch>> SimilaritySearch::TopKAll(
-    const SegmentStore& store, const std::vector<Value>& pattern, int k,
+    const Partitions& partitions, const std::vector<Value>& pattern, int k,
     SimilarityStats* stats) const {
   std::vector<SimilarityMatch> all;
   for (Tid tid = 1; tid <= catalog_->NumSeries(); ++tid) {
     MODELARDB_ASSIGN_OR_RETURN(std::vector<SimilarityMatch> matches,
-                               TopK(store, tid, pattern, k, stats));
+                               TopK(partitions, tid, pattern, k, stats));
     all.insert(all.end(), matches.begin(), matches.end());
   }
   std::sort(all.begin(), all.end(),

@@ -42,16 +42,18 @@ class SimilaritySearch {
                    const TimeSeriesCatalog* catalog)
       : engine_(engine), registry_(registry), catalog_(catalog) {}
 
-  // Top-k most similar windows of series `tid` to `pattern`. Matches are
-  // sorted by ascending distance; ties broken by start time.
+  // Top-k most similar windows of series `tid` to `pattern`, over the
+  // segments of `partitions` (a cluster's stores, or one store). Matches
+  // are sorted by ascending distance; ties broken by start time. An
+  // unknown `tid` is InvalidArgument.
   Result<std::vector<SimilarityMatch>> TopK(
-      const SegmentStore& store, Tid tid,
+      const Partitions& partitions, Tid tid,
       const std::vector<Value>& pattern, int k,
       SimilarityStats* stats = nullptr) const;
 
   // Top-k across every series.
   Result<std::vector<SimilarityMatch>> TopKAll(
-      const SegmentStore& store, const std::vector<Value>& pattern, int k,
+      const Partitions& partitions, const std::vector<Value>& pattern, int k,
       SimilarityStats* stats = nullptr) const;
 
  private:

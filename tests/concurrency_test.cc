@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "ingest/pipeline.h"
@@ -19,6 +20,7 @@ namespace {
 TEST(StoreConcurrencyTest, ConcurrentPutAndScan) {
   auto store = *SegmentStore::Open(SegmentStoreOptions{});
   std::atomic<bool> done{false};
+  std::atomic<bool> reader_failed{false};
   std::atomic<int64_t> scans{0};
   Status scan_status;
 
@@ -35,16 +37,25 @@ TEST(StoreConcurrencyTest, ConcurrentPutAndScan) {
       });
       if (!s.ok()) {
         scan_status = s;
+        reader_failed.store(true);
         return;
       }
       scans.fetch_add(1);
     }
   });
 
+  // Four writers on distinct groups, as the pipeline guarantees, all
+  // running at once. Each pauses halfway until the reader has completed a
+  // scan, so every scan after that overlaps the remaining puts.
+  std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
-    // Writers on distinct groups, as the pipeline guarantees.
-    std::thread writer([&store, w] {
+    writers.emplace_back([&, w] {
       for (int i = 0; i < 500; ++i) {
+        if (i == 250) {
+          while (scans.load() == 0 && !reader_failed.load()) {
+            std::this_thread::yield();
+          }
+        }
         Segment s;
         s.gid = w + 1;
         s.start_time = i * 1000;
@@ -55,8 +66,8 @@ TEST(StoreConcurrencyTest, ConcurrentPutAndScan) {
         ASSERT_TRUE(store->Put(s).ok());
       }
     });
-    writer.join();
   }
+  for (std::thread& writer : writers) writer.join();
   done.store(true);
   reader.join();
   EXPECT_TRUE(scan_status.ok()) << scan_status;

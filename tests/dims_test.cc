@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace modelardb {
 namespace {
 
@@ -61,8 +63,12 @@ TEST(CatalogTest, RejectsBadSiAndScaling) {
   TimeSeriesCatalog catalog(std::vector<Dimension>{});
   TimeSeriesMeta zero_si{1, 0, 1.0, 0, "a", {}};
   EXPECT_FALSE(catalog.AddSeries(zero_si).ok());
-  TimeSeriesMeta zero_scaling{1, 1000, 0.0, 0, "a", {}};
-  EXPECT_FALSE(catalog.AddSeries(zero_scaling).ok());
+  for (double scaling : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    TimeSeriesMeta bad{1, 1000, scaling, 0, "a", {}};
+    EXPECT_EQ(catalog.AddSeries(bad).code(), StatusCode::kInvalidArgument)
+        << scaling;
+  }
+  EXPECT_EQ(catalog.NumSeries(), 0);
 }
 
 TEST(CatalogTest, LcaLevelMatchesFig7) {

@@ -51,7 +51,7 @@ TEST(SimilarityGapTest, MatchesNeverSpanGaps) {
   // imperfect and must start where a full window fits inside one run.
   std::vector<Value> pattern;
   for (int i = 495; i < 525; ++i) pattern.push_back(value_at(i));
-  auto matches = *search.TopK(*store, 1, pattern, 1);
+  auto matches = *search.TopK({store.get()}, 1, pattern, 1);
   ASSERT_EQ(matches.size(), 1u);
   // value_at is periodic with period 37, so an exact copy of the pattern
   // exists elsewhere (495-37k); the search must find one entirely inside

@@ -357,20 +357,6 @@ TEST_F(ObsSqlTest, SlowQueryLogCountsAndRecordsOverThreshold) {
   obs::SetSlowQueryThresholdMs(1000);  // Back to the default.
 }
 
-TEST_F(ObsSqlTest, ClusterConfigAppliesObservabilityKnobs) {
-  cluster::ClusterConfig config;
-  config.num_workers = 1;
-  config.trace_ring_capacity = 7;
-  config.slow_query_ms = 777;
-  auto engine = cluster::ClusterEngine::Create(dataset_->catalog(), groups_,
-                                               &registry_, config);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(obs::Tracer::Global().capacity(), 7u);
-  EXPECT_EQ(obs::SlowQueryThresholdNs(), 777 * 1000000);
-  obs::SetSlowQueryThresholdMs(1000);
-  obs::Tracer::Global().SetCapacity(obs::Tracer::kDefaultCapacity);
-}
-
 TEST_F(ObsSqlTest, QueriesRunWithTracingDisabled) {
   obs::SetEnabled(false);
   auto result = cluster_->Execute("SELECT COUNT_S(*) FROM Segment");

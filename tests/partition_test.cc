@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "partition/correlation.h"
 
 namespace modelardb {
@@ -177,6 +179,21 @@ TEST(PartitionerTest, ScalingRulesApplied) {
   EXPECT_DOUBLE_EQ(catalog.Get(6).scaling, 4.75);
   EXPECT_DOUBLE_EQ(catalog.Get(1).scaling, 2.0);
   EXPECT_DOUBLE_EQ(catalog.Get(2).scaling, 1.0);
+}
+
+TEST(PartitionerTest, NonPositiveOrNanScalingRulesRejected) {
+  for (const char* factor : {"0", "-1", "nan"}) {
+    TimeSeriesCatalog catalog = WindCatalog();
+    auto hints = PartitionHints::Parse(
+        std::string("modelardb.scaling = Measure 1 Production 4.75\n"
+                    "modelardb.scaling.series = aal1_temp.gz ") +
+        factor + "\n");
+    ASSERT_TRUE(hints.ok()) << factor;
+    auto groups = Partitioner::Partition(&catalog, *hints);
+    EXPECT_EQ(groups.status().code(), StatusCode::kInvalidArgument) << factor;
+    // No rule is applied when one is rejected.
+    EXPECT_DOUBLE_EQ(catalog.Get(3).scaling, 1.0) << factor;
+  }
 }
 
 TEST(PartitionerTest, GroupsLargerThan64AreSplit) {

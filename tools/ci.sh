@@ -23,6 +23,9 @@ if git ls-files | grep -q '^build'; then
   exit 1
 fi
 
+# Size: the tracked src/ line count, the figure ROADMAP.md tracks.
+echo "ci: src/ lines: $(git ls-files 'src/*.cc' 'src/*.h' | xargs cat | wc -l)"
+
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Tier 1: full test suite.

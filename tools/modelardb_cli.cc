@@ -169,10 +169,7 @@ void RunShell(cluster::ClusterEngine* engine,
         std::vector<Value> pattern;
         double v;
         while (args >> v) pattern.push_back(static_cast<Value>(v));
-        const SegmentStore* store =
-            engine->worker(engine->WorkerOf(
-                engine->query_engine().GidOf(tid)))->store();
-        auto matches = search.TopK(*store, tid, pattern, k);
+        auto matches = search.TopK(engine->partitions(), tid, pattern, k);
         if (!matches.ok()) {
           std::printf("error: %s\n", matches.status().ToString().c_str());
           continue;
