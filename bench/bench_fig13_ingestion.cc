@@ -97,6 +97,7 @@ int main() {
         Partitioner::Partition(ds.catalog(), ds.BestHints()), "partition");
     cluster::ClusterConfig config;
     config.num_workers = 2;
+    config.parallelism = 1;  // Each partition ingested on one thread.
     config.storage_root = dir.Sub("v2_b2");
     auto engine = bench::CheckOk(
         cluster::ClusterEngine::Create(ds.catalog(), groups, &registry,
@@ -111,11 +112,8 @@ int main() {
           worker_sources.push_back(std::move(source));
         }
       }
-      ingest::PipelineOptions options;
-      options.thread_per_worker = false;
       auto report = bench::CheckOk(
-          ingest::RunPipeline(engine.get(), std::move(worker_sources),
-                              options),
+          ingest::RunPipeline(engine.get(), std::move(worker_sources), {}),
           "pipeline");
       makespan = std::max(makespan, report.seconds);
       total += report.data_points;

@@ -77,7 +77,6 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Create(
       store_options.directory =
           config.storage_root + "/worker" + std::to_string(i);
     }
-    store_options.bulk_write_size = config.bulk_write_size;
     store_options.registry = registry;
     store_options.group_sizes = std::move(worker_group_sizes[i]);
     MODELARDB_ASSIGN_OR_RETURN(std::unique_ptr<SegmentStore> store,
@@ -96,10 +95,7 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Create(
     coordinator_config.generator.num_series =
         static_cast<int>(group->tids.size());
     coordinator_config.generator.error_bound = config.error_bound;
-    coordinator_config.generator.length_limit = config.length_limit;
     coordinator_config.generator.registry = registry;
-    coordinator_config.enable_splitting = config.enable_splitting;
-    coordinator_config.split_fraction = config.split_fraction;
     engine->workers_[target]->AddCoordinator(
         group->gid,
         std::make_unique<GroupCoordinator>(coordinator_config, group->tids));

@@ -35,12 +35,10 @@ struct ClusterConfig {
   int num_workers = 1;
   // Root directory for per-worker stores; empty keeps workers in memory.
   std::string storage_root;
-  // Ingestion configuration applied to every group's coordinator.
+  // Error bound applied to every group's coordinator; the other
+  // ingestion and store settings are the GroupCoordinatorConfig and
+  // SegmentStoreOptions defaults (the paper's Table 1).
   ErrorBound error_bound = ErrorBound::Lossless();
-  int length_limit = 50;
-  bool enable_splitting = true;
-  double split_fraction = 10.0;
-  size_t bulk_write_size = 50000;
   // Degree of intra-process parallelism for queries, flushes and (through
   // the pipeline) ingestion:
   //   0  — the process-wide pool sized to the hardware (the default);

@@ -81,14 +81,11 @@ Result<IngestReport> RunPipeline(
   std::atomic<int64_t> points{0};
   Stopwatch stopwatch;
 
-  // One ingestion task per worker on the cluster's shared pool (one
-  // writer per group). A null pool or the sequential knobs degrade to
-  // running the partitions inline, in worker order.
-  ThreadPool* pool =
-      (options.thread_per_worker && options.parallelism != 1 &&
-       cluster->num_workers() > 1)
-          ? cluster->pool()
-          : nullptr;
+  // One ingestion task per worker on the cluster's pool (one writer per
+  // group). A single worker, or a sequential cluster
+  // (ClusterConfig::parallelism = 1, no pool), runs the partitions inline,
+  // in worker order.
+  ThreadPool* pool = cluster->num_workers() > 1 ? cluster->pool() : nullptr;
   std::vector<Status> statuses(partitions.size());
   TaskGroup group(pool);
   for (size_t i = 0; i < partitions.size(); ++i) {

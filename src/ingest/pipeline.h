@@ -34,14 +34,6 @@ class GroupRowSource {
 struct PipelineOptions {
   // Rows pulled from one source before moving to the next (micro-batch).
   int micro_batch_rows = 512;
-  // Run worker partitions concurrently (true) or on a single thread
-  // (false). Concurrent partitions run as tasks on the cluster's shared
-  // pool, one task per worker, preserving one-writer-per-group.
-  bool thread_per_worker = true;
-  // Parallelism override: 0 uses the cluster engine's pool (the shared,
-  // hardware-sized pool by default); 1 forces sequential ingestion exactly
-  // like thread_per_worker = false.
-  int parallelism = 0;
 };
 
 struct IngestReport {

@@ -1,6 +1,7 @@
 #include "obs/event_ring.h"
 
 #include <cstdlib>
+#include <thread>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -73,13 +74,28 @@ void EventRing::Record(EventKind kind, int64_t a, int64_t b,
                        const char* detail) {
   if (!Enabled()) return;
   const int64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
+  EventRecords().Add();
   Slot& slot = slots_[static_cast<size_t>(ticket) % capacity_];
-  const uint64_t ticket_u = static_cast<uint64_t>(ticket);
-  // Odd = mid-write. If a lapped writer collides on this slot, both write
-  // atomics; validation in ReadSlot drops the slot until a writer's final
-  // release store wins — a garbled record is impossible, a dropped one is
-  // the documented cost of lapping.
-  slot.seq.store(2 * ticket_u + 1, std::memory_order_relaxed);
+  const uint64_t writing = 2 * static_cast<uint64_t>(ticket) + 1;
+  // Claim the slot by CAS, only from a settled (even) seq of an older
+  // ticket: one writer at a time stores the payload, and the slot never
+  // goes back to an older ticket. An older writer still mid-write is
+  // waited for; a newer ticket's seq means a writer that lapped this one
+  // already owns the slot, so this record is dropped (it would have been
+  // overwritten anyway).
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq >= writing) return;
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seq, writing,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
   // Release fence: the payload stores below may not sink above the odd
   // mark, so a reader that missed the mark cannot accept mixed payloads.
   std::atomic_thread_fence(std::memory_order_release);
@@ -96,8 +112,7 @@ void EventRing::Record(EventKind kind, int64_t a, int64_t b,
   for (int i = 0; i < 3; ++i) {
     slot.detail[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.seq.store(2 * ticket_u + 2, std::memory_order_release);
-  EventRecords().Add();
+  slot.seq.store(writing + 1, std::memory_order_release);
 }
 
 bool EventRing::ReadSlot(const Slot& slot, EventRecord* out) const {

@@ -10,15 +10,19 @@
 // saturation, slow query); the bundle writer (obs/bundle.h) and the
 // watchdog (obs/watchdog.h) read it back.
 //
-// Concurrency contract: Record() is wait-free — one relaxed ticket
-// fetch_add plus relaxed stores into the claimed slot, bracketed by a
-// per-slot seqlock (odd = mid-write). Snapshot() validates each slot's
-// sequence before and after copying and drops records that changed
-// mid-copy, so readers never block writers and never observe a torn
-// record as stable. Every field is an atomic, so the ring is exactly as
-// safe to read from a signal handler as it is from a thread (lock-free
-// atomics are async-signal-safe); the only caveat is that a writer lapped
-// mid-copy yields a dropped record, never a blocked reader.
+// Concurrency contract: Record() takes one relaxed ticket fetch_add, claims
+// the ticket's slot by CAS on a per-slot seqlock (odd = mid-write) and
+// stores the payload with relaxed atomics. Only one writer stores into a
+// slot at a time, and a slot never goes back to an older ticket: a writer
+// waits only while an older writer (lapped by a whole ring) is mid-write
+// in its slot, and drops its record when a newer ticket already holds it.
+// Snapshot() validates each slot's sequence before and after copying and
+// drops records that changed mid-copy, so readers never block writers and
+// never observe a torn record as stable. Every field is an atomic, so the
+// ring is exactly as safe to read from a signal handler as it is from a
+// thread (lock-free atomics are async-signal-safe); the only caveat is
+// that a writer lapped mid-copy yields a dropped record, never a blocked
+// reader.
 
 #ifndef MODELARDB_OBS_EVENT_RING_H_
 #define MODELARDB_OBS_EVENT_RING_H_
@@ -73,8 +77,9 @@ class EventRing {
   EventRing(const EventRing&) = delete;
   EventRing& operator=(const EventRing&) = delete;
 
-  // Wait-free; drops nothing (old records are overwritten instead). No-op
-  // when obs::SetEnabled(false). `detail` is truncated to 23 chars.
+  // Never blocks on readers; old records are overwritten, and a record
+  // whose slot a newer ticket already holds is dropped. No-op when
+  // obs::SetEnabled(false). `detail` is truncated to 23 chars.
   void Record(EventKind kind, int64_t a = 0, int64_t b = 0,
               const char* detail = "");
 

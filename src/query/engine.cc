@@ -54,15 +54,16 @@ void FoldSummary(std::vector<AggState>* states,
   }
 }
 
-// A segment's materialized full-range aggregates of decoder `column`:
-// bit-identical to AggregateRange over all its rows by construction.
-AggregateSummary FullRange(const SegmentSummary& summary, int column,
+// A segment's materialized full-range aggregates of decoder `column`
+// (its summary columns, BlockIndex::summaries): bit-identical to
+// AggregateRange over all its rows by construction.
+AggregateSummary FullRange(const double* summary, int column,
                            int64_t length) {
   AggregateSummary out;
   out.count = length;
-  out.sum = summary.sum(column);
-  out.min = summary.min(column);
-  out.max = summary.max(column);
+  out.sum = summary[3 * column];
+  out.min = summary[3 * column + 1];
+  out.max = summary[3 * column + 2];
   return out;
 }
 
@@ -603,10 +604,9 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
   if (compiled.covered_blocks == CoveredBlockUse::kPreFolds) {
     // COUNT/MIN/MAX only: the block's pre-folded aggregates are order-free
     // exact folds, so consuming them matches the per-segment fold bit for
-    // bit. (The sum lane is also folded in but never finalized.)
+    // bit.
     for (const Sel& s : selected) {
       AggregateSummary summary;
-      summary.sum = block.sums[s.pos];
       summary.min = block.mins[s.pos];
       summary.max = block.maxs[s.pos];
       summary.count = block.counts[s.pos];
@@ -615,27 +615,27 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
     return BlockAction::kSummarized;
   }
 
-  // SUM/AVG selected: fold the per-segment materialized summaries in
-  // segment order — exactly the values and order the decoding path
-  // produces, preserving the floating-point reduction tree. The
-  // segment-major, position-minor fold order matters when several
-  // positions share one key.
-  auto fold_segment = [&](const Segment& segment,
-                          const SegmentSummary* summary) {
+  // SUM/AVG selected: fold the per-segment summaries in segment order —
+  // exactly the values and order the decoding path produces, preserving
+  // the floating-point reduction tree. The segment-major, position-minor
+  // fold order matters when several positions share one key. Gap masks,
+  // lengths and summaries all come from the block index: no payload is
+  // read, hot or leased.
+  size_t offset = 0;
+  for (uint32_t i = 0; i < block.count; ++i) {
+    const uint64_t gap_mask = block.gap_masks[i];
+    const double* summary = block.NextSummary(i, &offset);
     for (const Sel& s : selected) {
       int column = s.pos;
-      if (segment.gap_mask != 0) {
-        if (segment.SeriesInGap(s.pos)) continue;
+      if (gap_mask != 0) {
+        if (((gap_mask >> s.pos) & 1) != 0) continue;  // In a gap.
         // The decoder column: the position less the gaps before it.
-        column -= std::popcount(segment.gap_mask &
-                                ((uint64_t{1} << s.pos) - 1));
+        column -= std::popcount(gap_mask & ((uint64_t{1} << s.pos) - 1));
       }
-      FoldSummary(s.states, FullRange(*summary, column, segment.Length()),
+      FoldSummary(s.states, FullRange(summary, column, block.lengths[i]),
                   s.scaling);
     }
-    return Status::OK();
-  };
-  MODELARDB_RETURN_NOT_OK(view.ForEachSegment(fold_segment));
+  }
   return BlockAction::kSummarized;
 }
 
@@ -651,7 +651,7 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
     };
   }
   callbacks.on_segment = [&](const Segment& segment,
-                             const SegmentSummary* seg_summary) -> Status {
+                             const double* seg_summary) -> Status {
     std::vector<SelectedSeries> series = SelectSeries(compiled, segment);
     if (series.empty()) return Status::OK();
     if (num_aggs == 0 && compiled.ast.view == View::kSegment) {
@@ -666,9 +666,9 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
     if (!RowRange(segment, compiled.filter, &from_row, &to_row)) {
       return Status::OK();
     }
-    const bool full_range_summary =
-        from_row == 0 && to_row == segment.Length() - 1 &&
-        seg_summary != nullptr && seg_summary->valid();
+    const bool full_range_summary = from_row == 0 &&
+                                    to_row == segment.Length() - 1 &&
+                                    seg_summary != nullptr;
     // Decoders are created lazily: segments folded from their summaries
     // never need one.
     std::unique_ptr<SegmentDecoder> decoder;
@@ -717,7 +717,7 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
         std::vector<AggState>& states = StatesFor(fold, key, num_aggs);
         if (compiled.full_range_summaries && full_range_summary) {
           FoldSummary(&states,
-                      FullRange(*seg_summary, s.column, segment.Length()),
+                      FullRange(seg_summary, s.column, segment.Length()),
                       s.scaling);
           continue;
         }

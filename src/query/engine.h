@@ -234,10 +234,10 @@ class QueryEngine {
                                double value) const;
 
   // Consumes a fully time-covered block as `compiled.covered_blocks`
-  // says. Folding per-segment summaries reads each segment's gap mask and
-  // length, which pins a leased payload. Returns kFallback when the value
-  // zone map straddles the predicate: the segment path decides per
-  // segment.
+  // says, from its index alone (pre-folds, or per-segment gap masks,
+  // lengths and summaries): no payload is read or pinned. Returns
+  // kFallback when the value zone map straddles the predicate: the
+  // segment path decides per segment.
   Result<BlockAction> ConsumeCoveredBlock(const CompiledQuery& compiled,
                                           const BlockView& view,
                                           Fold* fold) const;

@@ -92,9 +92,8 @@ bool SegmentLess(const Segment& a, const Segment& b) {
 // Slab tag of the cold-index block (real blocks are tagged with their Gid,
 // which is never negative, let alone all-ones).
 constexpr uint64_t kColdIndexTag = ~uint64_t{0};
-// v2 carries each block's pre-folded aggregates, so Open reads no data
-// pages.
-constexpr uint64_t kColdIndexVersion = 2;
+// v3 carries each block's whole index, so Open reads no data pages.
+constexpr uint64_t kColdIndexVersion = 3;
 
 // First block index whose block fails `before`; `before` must hold for a
 // prefix of the group's blocks (they are in clustering order).
@@ -243,19 +242,12 @@ Status SegmentStore::ReplayLog() {
     }
     // An empty group takes the sorted run whole, in the layout puts in
     // clustering order would have given it.
-    std::vector<SegmentSummary> summaries;
-    if (data->width > 0) {
-      summaries.reserve(n);
-      for (const Segment& segment : segments) {
-        summaries.push_back(BuildSummary(segment, data->width));
-      }
+    std::vector<double> summary;
+    for (Segment& segment : segments) {
+      const double* columns = BuildSummary(segment, data->width, &summary);
+      AppendToBlock(&data->tail, std::move(segment), columns, data->width);
+      SealTailIfFull(data);
     }
-    const size_t sealed = n - n % options_.block_size;
-    data->tail = BuildBlock(data->width, &segments, &summaries, sealed, n);
-    segments.resize(sealed);
-    summaries.resize(std::min(summaries.size(), sealed));
-    data->sealed = SealRun(data->width, std::move(segments),
-                           std::move(summaries), options_.block_size);
     UpdateSuffixFences(data, 0);
   }
   return Status::OK();
@@ -300,82 +292,91 @@ int SegmentStore::SummaryWidth(Gid gid) const {
   return it->second <= 64 ? std::max(it->second, 0) : 0;
 }
 
-SegmentSummary SegmentStore::BuildSummary(const Segment& segment,
-                                          int group_size) const {
-  SegmentSummary out;
+const double* SegmentStore::BuildSummary(const Segment& segment,
+                                         int group_size,
+                                         std::vector<double>* out) const {
+  if (group_size == 0) return nullptr;
   int64_t length = segment.Length();
   int represented = segment.RepresentedSeries(group_size);
-  if (length <= 0 || represented == 0) return out;
+  if (length <= 0 || represented == 0) return nullptr;
   auto decoder = options_.registry->CreateDecoder(
       segment.mid, segment.parameters, represented,
       static_cast<int>(length));
-  if (!decoder.ok()) return out;
-  out.agg.resize(3 * static_cast<size_t>(represented));
+  if (!decoder.ok()) return nullptr;
+  out->resize(3 * static_cast<size_t>(represented));
   for (int col = 0; col < represented; ++col) {
     AggregateSummary summary =
         (*decoder)->AggregateRange(0, static_cast<int>(length) - 1, col);
-    out.agg[3 * col] = summary.sum;
-    out.agg[3 * col + 1] = summary.min;
-    out.agg[3 * col + 2] = summary.max;
+    (*out)[3 * col] = summary.sum;
+    (*out)[3 * col + 1] = summary.min;
+    (*out)[3 * col + 2] = summary.max;
   }
-  return out;
+  return out->data();
 }
 
 void SegmentStore::AppendToBlock(SealedBlock* block, Segment&& segment,
-                                 SegmentSummary&& summary, int group_size) {
+                                 const double* summary, int group_size) {
   if (block->count == 0 && group_size > 0) {
     block->has_summaries = true;
     block->counts.assign(group_size, 0);
-    block->sums.assign(group_size, 0.0);
     block->mins.assign(group_size, 0.0);
     block->maxs.assign(group_size, 0.0);
   }
   block->min_start_time = std::min(block->min_start_time, segment.start_time);
   block->max_end_time = segment.end_time;  // Appends come in key order.
-  block->last_gap_mask = segment.gap_mask;
   block->min_value = std::min(block->min_value, segment.min_value);
   block->max_value = std::max(block->max_value, segment.max_value);
-  if (block->has_summaries && !summary.valid()) {
-    // One unmaterialized segment poisons the whole block's aggregates;
-    // the fences above stay valid.
+  block->gap_masks.push_back(segment.gap_mask);
+  block->lengths.push_back(segment.Length());
+  if (block->has_summaries && summary == nullptr) {
+    // One segment without a summary drops the whole block's: all or none.
+    // The fences, gap masks and lengths stay valid.
     block->has_summaries = false;
     block->counts.clear();
-    block->sums.clear();
     block->mins.clear();
     block->maxs.clear();
+    block->summaries.clear();
   } else if (block->has_summaries) {
-    const int64_t length = segment.Length();
+    const int64_t length = block->lengths.back();
     int col = 0;
     for (int pos = 0; pos < group_size; ++pos) {
       if (segment.SeriesInGap(pos)) continue;
+      const double min = summary[3 * col + 1];
+      const double max = summary[3 * col + 2];
       if (block->counts[pos] == 0) {
-        block->mins[pos] = summary.min(col);
-        block->maxs[pos] = summary.max(col);
+        block->mins[pos] = min;
+        block->maxs[pos] = max;
       } else {
-        block->mins[pos] = std::min(block->mins[pos], summary.min(col));
-        block->maxs[pos] = std::max(block->maxs[pos], summary.max(col));
+        block->mins[pos] = std::min(block->mins[pos], min);
+        block->maxs[pos] = std::max(block->maxs[pos], max);
       }
       block->counts[pos] += length;
-      block->sums[pos] += summary.sum(col);
       ++col;
     }
+    block->summaries.insert(block->summaries.end(), summary,
+                            summary + 3 * col);
   }
-  if (group_size > 0) block->summaries.push_back(std::move(summary));
   block->segments.push_back(std::move(segment));
   ++block->count;
 }
 
-SealedBlock SegmentStore::BuildBlock(int group_size,
-                                     std::vector<Segment>* segments,
-                                     std::vector<SegmentSummary>* summaries,
-                                     size_t begin, size_t end) {
+void SegmentStore::SealTailIfFull(GroupData* data) const {
+  if (data->tail.count >= options_.block_size) {
+    data->sealed.push_back(
+        std::make_shared<const SealedBlock>(std::move(data->tail)));
+    data->tail = SealedBlock{};
+  }
+}
+
+SealedBlock SegmentStore::BuildBlock(
+    int group_size, std::vector<Segment>* segments,
+    const std::vector<const double*>& summaries, size_t begin, size_t end) {
   SealedBlock block;
   block.segments.reserve(end - begin);
-  if (group_size > 0) block.summaries.reserve(end - begin);
+  block.gap_masks.reserve(end - begin);
+  block.lengths.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    AppendToBlock(&block, std::move((*segments)[i]),
-                  i < summaries->size() ? std::move((*summaries)[i])
-                                        : SegmentSummary{},
+    AppendToBlock(&block, std::move((*segments)[i]), summaries[i],
                   group_size);
   }
   return block;
@@ -434,12 +435,13 @@ Status SegmentStore::PutLocked(const Segment& segment) {
 Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
   const Gid gid = data->gid;
   const int width = data->width;
-  SegmentSummary summary =
-      width > 0 ? BuildSummary(segment, width) : SegmentSummary{};
+  std::vector<double> summary;
+  const double* columns = BuildSummary(segment, width, &summary);
   // The segment goes to the first block whose last key sorts after it, so
   // equal keys keep arrival order; past every block it appends.
   auto before = [&](const SealedBlock& block) {
-    return std::tie(block.max_end_time, block.last_gap_mask) <=
+    const uint64_t last_gap_mask = block.last_gap_mask();
+    return std::tie(block.max_end_time, last_gap_mask) <=
            std::tie(segment.end_time, segment.gap_mask);
   };
   size_t target = data->num_blocks();
@@ -449,20 +451,18 @@ Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
   const size_t sealed = data->sealed.size();
   if (target == data->num_blocks()) {
     // Common case: appends arrive in clustering order per group.
-    AppendToBlock(&data->tail, std::move(segment), std::move(summary), width);
+    AppendToBlock(&data->tail, std::move(segment), columns, width);
   } else {
     // Out of order (rare; ingestion appends in EndTime order): rebuild
-    // the one block the segment lands in.
+    // the one block the segment lands in. The new blocks copy the old
+    // one's summaries, so they are built before it is replaced.
     std::vector<Segment> segments;
-    std::vector<SegmentSummary> summaries;
+    std::vector<const double*> summaries;
     MODELARDB_RETURN_NOT_OK(
-        MaterializeBlock(*data, data->block(target), &segments, &summaries));
+        MaterializeBlock(data->block(target), &segments, &summaries));
     const auto at = std::upper_bound(segments.begin(), segments.end(),
                                      segment, SegmentLess);
-    if (!summaries.empty()) {
-      summaries.insert(summaries.begin() + (at - segments.begin()),
-                       std::move(summary));
-    }
+    summaries.insert(summaries.begin() + (at - segments.begin()), columns);
     segments.insert(at, std::move(segment));
     StoreBlockRebuilds().Add();
     obs::EventRing::Global().Record(obs::EventKind::kBlockRebuild,
@@ -471,7 +471,7 @@ Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
                                     "cow_rebuild");
     if (target == sealed) {
       data->tail =
-          BuildBlock(width, &segments, &summaries, 0, segments.size());
+          BuildBlock(width, &segments, summaries, 0, segments.size());
     } else {
       // A full block splits in two, leaving room for later inserts.
       const SealedBlock& old = *data->sealed[target];
@@ -480,7 +480,7 @@ Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
                                ? (segments.size() + 1) / 2
                                : segments.size();
       std::vector<BlockPtr> blocks =
-          SealRun(width, std::move(segments), std::move(summaries), chunk);
+          SealRun(width, std::move(segments), summaries, chunk);
       data->sealed.erase(data->sealed.begin() + target);
       data->sealed.insert(data->sealed.begin() + target, blocks.begin(),
                           blocks.end());
@@ -488,56 +488,38 @@ Status SegmentStore::InsertLocked(GroupData* data, Segment&& segment) {
       return Status::OK();
     }
   }
-  if (data->tail.count >= options_.block_size) {
-    data->sealed.push_back(
-        std::make_shared<const SealedBlock>(std::move(data->tail)));
-    data->tail = SealedBlock{};
-  }
+  SealTailIfFull(data);
   UpdateSuffixFences(data, sealed);
   return Status::OK();
 }
 
 std::vector<SegmentStore::BlockPtr> SegmentStore::SealRun(
     int group_size, std::vector<Segment> segments,
-    std::vector<SegmentSummary> summaries, size_t chunk) {
+    const std::vector<const double*>& summaries, size_t chunk) {
   std::vector<BlockPtr> blocks;
   for (size_t begin = 0; begin < segments.size(); begin += chunk) {
     blocks.push_back(std::make_shared<const SealedBlock>(
-        BuildBlock(group_size, &segments, &summaries, begin,
+        BuildBlock(group_size, &segments, summaries, begin,
                    std::min(begin + chunk, segments.size()))));
   }
   return blocks;
 }
 
 Status SegmentStore::MaterializeBlock(
-    const GroupData& group, const SealedBlock& block,
-    std::vector<Segment>* segments,
-    std::vector<SegmentSummary>* summaries) const {
-  if (block.leased()) {
-    BlockView view;
-    view.block = &block;
-    view.slab = slab_.get();
-    int64_t bytes = 0;
-    MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
-        [&](const Segment& segment, const SegmentSummary*) {
-          segments->push_back(segment);  // Deep-copies the parameters.
-          bytes += static_cast<int64_t>(segment.StorageBytes());
-          return Status::OK();
-        }));
-    SlabCopiedScanBytes().Add(bytes);
-  } else {
-    *segments = block.segments;
-  }
-  summaries->clear();
-  const int width = group.width;
-  if (width == 0) return Status::OK();
-  *summaries = block.summaries;
-  summaries->resize(segments->size());
-  for (size_t i = 0; i < segments->size(); ++i) {
-    if (!(*summaries)[i].valid()) {
-      (*summaries)[i] = BuildSummary((*segments)[i], width);
-    }
-  }
+    const SealedBlock& block, std::vector<Segment>* segments,
+    std::vector<const double*>* summaries) const {
+  BlockView view;
+  view.block = &block;
+  view.slab = slab_.get();
+  int64_t copied = 0;
+  MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
+      [&](const Segment& segment, const double* summary) {
+        segments->push_back(segment);  // Deep-copies borrowed parameters.
+        summaries->push_back(summary);
+        copied += static_cast<int64_t>(segment.StorageBytes());
+        return Status::OK();
+      }));
+  if (block.leased()) SlabCopiedScanBytes().Add(copied);
   return Status::OK();
 }
 
@@ -725,26 +707,23 @@ Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data,
                                            std::vector<uint64_t>* retired) {
   if (data->tail.count > 0) {
     // Seal the tail, coalescing a short last block into it so repeated
-    // small checkpoints converge to full-size blocks.
+    // small checkpoints converge to full-size blocks. Both source blocks
+    // are kept until SealRun has copied their summaries.
     std::vector<Segment> segments;
-    std::vector<SegmentSummary> summaries;
+    std::vector<const double*> summaries;
+    BlockPtr last;
     if (!data->sealed.empty() &&
         data->sealed.back()->count < options_.block_size) {
-      const SealedBlock& last = *data->sealed.back();
-      MODELARDB_RETURN_NOT_OK(
-          MaterializeBlock(*data, last, &segments, &summaries));
-      if (last.leased()) retired->push_back(last.slab_id);
+      last = data->sealed.back();
+      MODELARDB_RETURN_NOT_OK(MaterializeBlock(*last, &segments, &summaries));
+      if (last->leased()) retired->push_back(last->slab_id);
       data->sealed.pop_back();
     }
-    SealedBlock& tail = data->tail;
-    std::move(tail.segments.begin(), tail.segments.end(),
-              std::back_inserter(segments));
-    std::move(tail.summaries.begin(), tail.summaries.end(),
-              std::back_inserter(summaries));
-    tail = SealedBlock{};
-    for (BlockPtr& block :
-         SealRun(data->width, std::move(segments), std::move(summaries),
-                 options_.block_size)) {
+    const SealedBlock tail = std::move(data->tail);
+    data->tail = SealedBlock{};
+    MODELARDB_RETURN_NOT_OK(MaterializeBlock(tail, &segments, &summaries));
+    for (BlockPtr& block : SealRun(data->width, std::move(segments),
+                                   summaries, options_.block_size)) {
       data->sealed.push_back(std::move(block));
     }
   }
@@ -771,10 +750,12 @@ Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data,
   return Status::OK();
 }
 
-// Cold index v2, per group: gid, block count, then per block its slab id,
-// count, fences (min StartTime, last key, value zone map), pre-folded
-// per-position aggregates iff has_summaries, and the per-segment summaries
-// — their width written once per block when every summary shares it.
+// Cold index v3, per group: gid, block count, then per block its slab id,
+// count, fences (min StartTime, max EndTime), value zone map, the
+// has_summaries flag and, iff set, the pre-folded per-position
+// aggregates; then per segment its gap mask and length, and, iff set, its
+// summary columns (BlockIndex::Columns of them, the width being the
+// number of positions).
 std::vector<uint8_t> SegmentStore::SerializeColdIndex() const {
   BufferWriter writer;
   writer.WriteVarint(kColdIndexVersion);
@@ -792,7 +773,6 @@ std::vector<uint8_t> SegmentStore::SerializeColdIndex() const {
       writer.WriteVarint(block->count);
       writer.WriteI64(block->min_start_time);
       writer.WriteI64(block->max_end_time);
-      writer.WriteVarint(block->last_gap_mask);
       writer.WriteFloat(block->min_value);
       writer.WriteFloat(block->max_value);
       writer.WriteU8(block->has_summaries ? 1 : 0);
@@ -800,24 +780,19 @@ std::vector<uint8_t> SegmentStore::SerializeColdIndex() const {
         writer.WriteVarint(block->counts.size());
         for (size_t pos = 0; pos < block->counts.size(); ++pos) {
           writer.WriteVarint(static_cast<uint64_t>(block->counts[pos]));
-          writer.WriteDouble(block->sums[pos]);
           writer.WriteDouble(block->mins[pos]);
           writer.WriteDouble(block->maxs[pos]);
         }
       }
-      const std::vector<SegmentSummary>& summaries = block->summaries;
-      writer.WriteVarint(summaries.size());
-      if (summaries.empty()) continue;
-      const size_t width = summaries[0].agg.size();
-      const bool uniform = std::all_of(
-          summaries.begin(), summaries.end(),
-          [width](const SegmentSummary& s) { return s.agg.size() == width; });
-      // 0: each summary carries its width; else the shared width + 1 (a
-      // block of invalid summaries shares width 0).
-      writer.WriteVarint(uniform ? width + 1 : 0);
-      for (const SegmentSummary& summary : summaries) {
-        if (!uniform) writer.WriteVarint(summary.agg.size());
-        for (double v : summary.agg) writer.WriteDouble(v);
+      size_t offset = 0;
+      for (uint32_t i = 0; i < block->count; ++i) {
+        writer.WriteVarint(block->gap_masks[i]);
+        writer.WriteVarint(static_cast<uint64_t>(block->lengths[i]));
+        const size_t begin = offset;
+        if (block->NextSummary(i, &offset) == nullptr) continue;
+        for (size_t v = begin; v < offset; ++v) {
+          writer.WriteDouble(block->summaries[v]);
+        }
       }
     }
   }
@@ -854,10 +829,15 @@ Status SegmentStore::LoadColdIndex() {
       MODELARDB_ASSIGN_OR_RETURN(block->lease,
                                  slab_->LeaseBlock(block->slab_id));
       MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+      if (count == 0 || count > std::numeric_limits<uint32_t>::max()) {
+        return Status::Corruption("cold index block " +
+                                  std::to_string(block->slab_id) +
+                                  " holds " + std::to_string(count) +
+                                  " segments");
+      }
       block->count = static_cast<uint32_t>(count);
       MODELARDB_ASSIGN_OR_RETURN(block->min_start_time, reader.ReadI64());
       MODELARDB_ASSIGN_OR_RETURN(block->max_end_time, reader.ReadI64());
-      MODELARDB_ASSIGN_OR_RETURN(block->last_gap_mask, reader.ReadVarint());
       MODELARDB_ASSIGN_OR_RETURN(block->min_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(block->max_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(uint8_t has_summaries, reader.ReadU8());
@@ -867,31 +847,21 @@ Status SegmentStore::LoadColdIndex() {
         for (uint64_t pos = 0; pos < positions; ++pos) {
           MODELARDB_ASSIGN_OR_RETURN(uint64_t points, reader.ReadVarint());
           block->counts.push_back(static_cast<int64_t>(points));
-          for (std::vector<double>* lane :
-               {&block->sums, &block->mins, &block->maxs}) {
-            MODELARDB_ASSIGN_OR_RETURN(double v, reader.ReadDouble());
-            lane->push_back(v);
-          }
+          MODELARDB_ASSIGN_OR_RETURN(double min, reader.ReadDouble());
+          block->mins.push_back(min);
+          MODELARDB_ASSIGN_OR_RETURN(double max, reader.ReadDouble());
+          block->maxs.push_back(max);
         }
       }
-      MODELARDB_ASSIGN_OR_RETURN(uint64_t summaries, reader.ReadVarint());
-      if (summaries != 0 && summaries != count) {
-        return Status::Corruption("cold index block " +
-                                  std::to_string(block->slab_id) +
-                                  " has a summary count unlike its size");
-      }
-      if (summaries > 0) {
-        MODELARDB_ASSIGN_OR_RETURN(uint64_t shared, reader.ReadVarint());
-        block->summaries.resize(summaries);
-        for (SegmentSummary& summary : block->summaries) {
-          uint64_t n = shared - 1;
-          if (shared == 0) {
-            MODELARDB_ASSIGN_OR_RETURN(n, reader.ReadVarint());
-          }
-          summary.agg.resize(n);
-          for (double& v : summary.agg) {
-            MODELARDB_ASSIGN_OR_RETURN(v, reader.ReadDouble());
-          }
+      for (uint64_t i = 0; i < count; ++i) {
+        MODELARDB_ASSIGN_OR_RETURN(uint64_t gap_mask, reader.ReadVarint());
+        block->gap_masks.push_back(gap_mask);
+        MODELARDB_ASSIGN_OR_RETURN(uint64_t length, reader.ReadVarint());
+        block->lengths.push_back(static_cast<int64_t>(length));
+        if (!block->has_summaries) continue;
+        for (int v = 3 * block->Columns(gap_mask); v > 0; --v) {
+          MODELARDB_ASSIGN_OR_RETURN(double value, reader.ReadDouble());
+          block->summaries.push_back(value);
         }
       }
       num_segments_.fetch_add(block->count, std::memory_order_relaxed);
@@ -980,7 +950,7 @@ Status SegmentStore::ScanIndexed(const SegmentFilter& filter,
       }
       ++scan.blocks_scanned;
       MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
-          [&](const Segment& segment, const SegmentSummary* summary) {
+          [&](const Segment& segment, const double* summary) {
             if (!filter.Matches(segment)) return Status::OK();
             ++scan.segments_scanned;
             if (!block.leased()) ++scan.hot_pins;
@@ -997,8 +967,9 @@ Status SegmentStore::Scan(
     const SegmentFilter& filter,
     const std::function<Status(const Segment&)>& fn) const {
   IndexedScanCallbacks callbacks;
-  callbacks.on_segment = [&fn](const Segment& segment,
-                               const SegmentSummary*) { return fn(segment); };
+  callbacks.on_segment = [&fn](const Segment& segment, const double*) {
+    return fn(segment);
+  };
   return ScanIndexed(filter, callbacks, nullptr);
 }
 

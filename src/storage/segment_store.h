@@ -19,14 +19,17 @@
 // (Fig 4).
 //
 // A group's segments live in *sealed blocks* of at most `block_size`
-// segments, each carrying time fences, a value zone map, gap-aware
-// pre-folded aggregates and one full-range SegmentSummary per segment (the
-// "model-exploiting index" the paper defers to future work, §9 item i). A
-// block's payload is owned segments (hot) or a slab lease (checkpointed);
-// one scan loop serves both, answering aggregates without a decoder. Puts
-// append to the group's unsealed tail, which seals when full; an
+// segments. A block's index is the one record of what its segments are:
+// time fences, a value zone map, each segment's gap mask and length (the
+// paper's Gaps and Size, §3.3), and — for all of its segments or for none
+// — gap-aware pre-folded aggregates and each segment's full-range
+// aggregates (the "model-exploiting index" the paper defers to future
+// work, §9 item i). A block's payload is owned segments (hot) or a slab
+// lease (checkpointed); one scan loop serves both, and a covered block's
+// aggregates fold from its index alone, without a decoder or a payload
+// pin. Puts append to the group's unsealed tail, which seals when full; an
 // out-of-order put rewrites the one block it lands in. Checkpoint() swaps
-// owned payloads for leases and writes the blocks' indexes to a v2 cold
+// owned payloads for leases and writes the blocks' indexes to a v3 cold
 // index, so a reopen reads no data pages; the WAL prefix it covers is
 // still kept. See DESIGN.md §3c and §3h.
 
@@ -34,6 +37,7 @@
 #define MODELARDB_STORAGE_SEGMENT_STORE_H_
 
 #include <atomic>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <map>
@@ -114,8 +118,9 @@ struct ScanStats {
   int64_t segments_decoded = 0;   // Decoders created (query-engine side).
   int64_t bytes_decoded = 0;      // Segment parameter bytes decoded
                                   // (query-engine side).
-  int64_t cold_pins = 0;          // Slab block pins taken (zero-copy scans
-                                  // and covered-block SUM folds).
+  int64_t cold_pins = 0;          // Slab block pins taken: leased payloads
+                                  // delivered segment by segment (a
+                                  // covered block folds from its index).
   int64_t hot_pins = 0;           // Segments served from snapshot-pinned
                                   // in-memory group data.
   int64_t cpu_ns = 0;             // Thread-CPU time across the query's
@@ -137,49 +142,58 @@ struct ScanStats {
   }
 };
 
-// Materialized aggregates of one segment over its full row range, one
-// entry per decoder column (represented series, in group order), in
-// stored units. The values are exactly what SegmentDecoder::AggregateRange
-// over the whole segment returns, so folding them is bit-identical to
-// decoding; the per-column count is Segment::Length(). Empty == absent
-// (no registry, unknown model, or group too wide).
-struct SegmentSummary {
-  std::vector<double> agg;  // [3 * col + {0: sum, 1: min, 2: max}]
-
-  bool valid() const { return !agg.empty(); }
-  double sum(int col) const { return agg[3 * col]; }
-  double min(int col) const { return agg[3 * col + 1]; }
-  double max(int col) const { return agg[3 * col + 2]; }
-};
-
 // What a block knows about its segments without reading its payload:
 // everything a scan prunes and folds with, and what the cold index keeps.
 struct BlockIndex {
   uint32_t count = 0;
   Timestamp min_start_time = std::numeric_limits<Timestamp>::max();
-  // The last segment's clustering key is (max_end_time, last_gap_mask):
+  // The last segment's clustering key is (max_end_time, last_gap_mask()):
   // puts find the block they land in without reading its payload.
   Timestamp max_end_time = std::numeric_limits<Timestamp>::min();
-  uint64_t last_gap_mask = 0;
   // Zone map over the segments' value statistics (stored units, over every
   // represented series — the same statistics RelateStats prunes with).
   float min_value = std::numeric_limits<float>::max();
   float max_value = std::numeric_limits<float>::lowest();
-  // True when every segment has a valid SegmentSummary and the
-  // per-position arrays below are populated.
+  // Per segment, in clustering order: its gap mask and Segment::Length().
+  std::vector<uint64_t> gap_masks;
+  std::vector<int64_t> lengths;
+  // A block has summaries for all of its segments or for none (no
+  // registry, a group wider than 64 series, or a segment no decoder
+  // reads); a block without them decodes its segments. The arrays below
+  // are empty unless has_summaries.
   bool has_summaries = false;
   // Gap-aware pre-folded aggregates per group position (only segments that
-  // represent the position contribute). counts are exact point counts;
-  // mins/maxs are order-free exact folds; sums are folded in segment order
-  // (used for estimates — exact SUM answers fold the per-segment
-  // summaries instead to preserve the reduction tree bit-for-bit).
+  // represent the position contribute): exact point counts and the
+  // order-free exact min/max folds. counts.size() is the group's width.
   std::vector<int64_t> counts;
-  std::vector<double> sums;
   std::vector<double> mins;
   std::vector<double> maxs;
-  // One per segment when the group materializes summaries (entries may be
-  // invalid); empty otherwise. Scans hand them out non-null iff present.
-  std::vector<SegmentSummary> summaries;
+  // Per segment, segment after segment, per decoder column (represented
+  // series, in group order): {sum, min, max} in stored units, exactly what
+  // SegmentDecoder::AggregateRange over all the segment's rows returns, so
+  // folding them is bit-identical to decoding. Segment i has
+  // Columns(gap_masks[i]) columns.
+  std::vector<double> summaries;
+
+  uint64_t last_gap_mask() const { return gap_masks.back(); }
+
+  // Decoder columns of a segment with `gap_mask` in a block with summaries.
+  int Columns(uint64_t gap_mask) const {
+    const size_t width = counts.size();
+    const uint64_t in_group =
+        width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    return static_cast<int>(width) - std::popcount(gap_mask & in_group);
+  }
+
+  // Segment i's summary columns, where `*offset` is their start (0 for
+  // segment 0); advances `*offset` to segment i + 1's. Null when the block
+  // has no summaries.
+  const double* NextSummary(uint32_t i, size_t* offset) const {
+    if (!has_summaries) return nullptr;
+    const double* summary = summaries.data() + *offset;
+    *offset += 3 * static_cast<size_t>(Columns(gap_masks[i]));
+    return summary;
+  }
 };
 
 // One immutable block of a group's segments in (EndTime, Gaps) clustering
@@ -204,20 +218,19 @@ struct BlockView {
   SlabFile* slab = nullptr;     // Serves a leased payload.
   ScanStats* stats = nullptr;   // Counts the pin a leased payload takes.
 
-  // Visits the block's segments in order with their summaries:
-  // fn(const Segment&, const SegmentSummary*) -> Status. A leased payload
-  // is pinned for the duration of the call and its segments borrow their
-  // parameters from the mapping (a Segment copy deep-copies them).
+  // Visits the block's segments in order with their summary columns:
+  // fn(const Segment&, const double* summary) -> Status, `summary` null
+  // when the block has none. A leased payload is pinned for the duration
+  // of the call and its segments borrow their parameters from the mapping
+  // (a Segment copy deep-copies them).
   template <typename Fn>
   Status ForEachSegment(Fn&& fn) const {
     const uint32_t count = block->count;
-    const SegmentSummary* summaries =
-        block->summaries.empty() ? nullptr : block->summaries.data();
+    size_t offset = 0;
     if (!block->leased()) {
-      const Segment* segments = block->segments.data();
       for (uint32_t i = 0; i < count; ++i) {
         MODELARDB_RETURN_NOT_OK(
-            fn(segments[i], summaries ? summaries + i : nullptr));
+            fn(block->segments[i], block->NextSummary(i, &offset)));
       }
       return Status::OK();
     }
@@ -227,8 +240,7 @@ struct BlockView {
     for (uint32_t i = 0; i < count; ++i) {
       MODELARDB_ASSIGN_OR_RETURN(Segment segment,
                                  Segment::DeserializeBorrowed(&reader));
-      MODELARDB_RETURN_NOT_OK(
-          fn(segment, summaries ? summaries + i : nullptr));
+      MODELARDB_RETURN_NOT_OK(fn(segment, block->NextSummary(i, &offset)));
     }
     return Status::OK();
   }
@@ -249,9 +261,9 @@ struct IndexedScanCallbacks {
   // Called for blocks whose segments all lie inside the time filter and
   // that carry summaries. Null: every block falls back to on_segment.
   std::function<Result<BlockAction>(const BlockView&)> on_covered_block;
-  // Called per matching segment of fallback/partial blocks. `summary` is
-  // non-null iff materialized.
-  std::function<Status(const Segment&, const SegmentSummary*)> on_segment;
+  // Called per matching segment of fallback/partial blocks with its
+  // summary columns (BlockIndex::summaries), null when its block has none.
+  std::function<Status(const Segment&, const double* summary)> on_segment;
 };
 
 // What Open()'s log replay found and did. Written once before Open
@@ -420,12 +432,13 @@ class SegmentStore {
   // Reads the slab's cold-index block into the per-group sealed lists.
   Status LoadColdIndex() REQUIRES(mutex_);
   std::vector<uint8_t> SerializeColdIndex() const REQUIRES(mutex_);
-  // Copies a block's segments (owned deserialization for a leased
-  // payload) and, when the group materializes summaries, one summary per
-  // segment (rebuilding absent ones); `summaries` is left empty otherwise.
-  Status MaterializeBlock(const GroupData& group, const SealedBlock& block,
+  // Appends copies of a block's segments (owned deserialization for a
+  // leased payload) to `segments` and, to `summaries`, pointers to their
+  // summary columns in `block` (null when it has none), which stay valid
+  // for as long as `block` does.
+  Status MaterializeBlock(const SealedBlock& block,
                           std::vector<Segment>* segments,
-                          std::vector<SegmentSummary>* summaries) const
+                          std::vector<const double*>* summaries) const
       REQUIRES(mutex_);
   // Grabs (and marks) the snapshots `filter` selects, in ascending Gid
   // order for the empty-gids case and in `filter.gids` order otherwise.
@@ -437,21 +450,26 @@ class SegmentStore {
   // registry is set and group_sizes maps the group to 1..64 series (the
   // gap-aware summaries map gap_mask bits to decoder columns).
   int SummaryWidth(Gid gid) const;
-  // Full-range per-column aggregates of `segment`; empty on any failure.
-  SegmentSummary BuildSummary(const Segment& segment, int group_size) const;
-  // Appends one segment to `block`, folding it into the fences, zone map
-  // and — when `group_size` > 0 — its summary into the pre-folds.
+  // `segment`'s summary columns (see BlockIndex::summaries) in `*out`, or
+  // null when the segment cannot be summarized (no group width, a
+  // segment without rows or represented series, or no decoder for it).
+  const double* BuildSummary(const Segment& segment, int group_size,
+                             std::vector<double>* out) const;
+  // Appends one segment to `block`, folding it into the fences and zone
+  // map and — when `group_size` > 0 — `summary` (its columns) into the
+  // pre-folds and summaries. A null `summary` drops the block's summaries.
   static void AppendToBlock(SealedBlock* block, Segment&& segment,
-                            SegmentSummary&& summary, int group_size);
-  // A block of segments[begin, end) (moved out, with their summaries).
+                            const double* summary, int group_size);
+  // Seals `data`'s tail once it holds block_size segments.
+  void SealTailIfFull(GroupData* data) const;
+  // A block of segments[begin, end) (moved out) with their summaries.
   static SealedBlock BuildBlock(int group_size, std::vector<Segment>* segments,
-                                std::vector<SegmentSummary>* summaries,
+                                const std::vector<const double*>& summaries,
                                 size_t begin, size_t end);
   // Seals a clustering-ordered run into blocks of `chunk` segments.
-  static std::vector<BlockPtr> SealRun(int group_size,
-                                       std::vector<Segment> segments,
-                                       std::vector<SegmentSummary> summaries,
-                                       size_t chunk);
+  static std::vector<BlockPtr> SealRun(
+      int group_size, std::vector<Segment> segments,
+      const std::vector<const double*>& summaries, size_t chunk);
   // Recomputes suffix_min_start from the last block down, for blocks
   // changed at index `from` or later.
   static void UpdateSuffixFences(GroupData* data, size_t from);

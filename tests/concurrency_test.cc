@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -16,6 +19,46 @@
 
 namespace modelardb {
 namespace {
+
+// A source that pauses at row `pause_at` until `resume()` holds, so the
+// ingestion it belongs to is still running when a concurrent reader has
+// completed its first query, however the threads are scheduled.
+class PausingSource : public ingest::GroupRowSource {
+ public:
+  PausingSource(std::unique_ptr<ingest::GroupRowSource> inner,
+                int64_t pause_at, std::function<bool()> resume)
+      : inner_(std::move(inner)),
+        pause_at_(pause_at),
+        resume_(std::move(resume)) {}
+
+  Gid gid() const override { return inner_->gid(); }
+
+  Result<bool> Next(GroupRow* row) override {
+    if (rows_++ == pause_at_) {
+      while (!resume_()) std::this_thread::yield();
+    }
+    return inner_->Next(row);
+  }
+
+ private:
+  std::unique_ptr<ingest::GroupRowSource> inner_;
+  int64_t pause_at_;
+  std::function<bool()> resume_;
+  int64_t rows_ = 0;
+};
+
+// `dataset`'s sources, the first one pausing at its midpoint until
+// `resume()` holds.
+std::vector<std::unique_ptr<ingest::GroupRowSource>> SourcesPausingAtMidpoint(
+    const workload::SyntheticDataset& dataset,
+    const std::vector<TimeSeriesGroup>& groups, std::function<bool()> resume) {
+  std::vector<std::unique_ptr<ingest::GroupRowSource>> sources =
+      dataset.MakeSources(groups);
+  sources.front() = std::make_unique<PausingSource>(
+      std::move(sources.front()), dataset.rows_per_series() / 2,
+      std::move(resume));
+  return sources;
+}
 
 TEST(StoreConcurrencyTest, ConcurrentPutAndScan) {
   auto store = *SegmentStore::Open(SegmentStoreOptions{});
@@ -86,6 +129,7 @@ TEST(ClusterConcurrencyTest, QueriesDuringIngestionSeeConsistentCounts) {
                                                  &registry, config);
 
   std::atomic<bool> done{false};
+  std::atomic<bool> query_failed{false};
   std::atomic<int64_t> queries{0};
   int64_t previous_count = 0;
   Status query_status;
@@ -94,12 +138,14 @@ TEST(ClusterConcurrencyTest, QueriesDuringIngestionSeeConsistentCounts) {
       auto result = cluster->Execute("SELECT COUNT_S(*) FROM Segment");
       if (!result.ok()) {
         query_status = result.status();
+        query_failed.store(true);
         return;
       }
       int64_t count = std::get<int64_t>(result->rows[0][0]);
       // Counts must be monotonically non-decreasing during ingestion.
       if (count < previous_count) {
         query_status = Status::Internal("count went backwards");
+        query_failed.store(true);
         return;
       }
       previous_count = count;
@@ -107,8 +153,13 @@ TEST(ClusterConcurrencyTest, QueriesDuringIngestionSeeConsistentCounts) {
     }
   });
 
-  auto report =
-      *ingest::RunPipeline(cluster.get(), dataset.MakeSources(groups), {});
+  // One source pauses halfway until a query has completed, so queries
+  // overlap the rest of the ingestion.
+  auto report = *ingest::RunPipeline(
+      cluster.get(), SourcesPausingAtMidpoint(dataset, groups, [&] {
+        return queries.load() > 0 || query_failed.load();
+      }),
+      {});
   done.store(true);
   query_thread.join();
   ASSERT_TRUE(query_status.ok()) << query_status;
@@ -147,6 +198,7 @@ TEST(ClusterConcurrencyTest, StressIngestionWithParallelAggregates) {
 
   // Aggregate queries run from several threads while ingestion proceeds.
   std::atomic<bool> done{false};
+  std::atomic<int> failed_threads{0};
   std::atomic<int64_t> executed{0};
   std::vector<Status> thread_status(3);
   std::vector<std::thread> query_threads;
@@ -157,15 +209,25 @@ TEST(ClusterConcurrencyTest, StressIngestionWithParallelAggregates) {
         auto result = parallel->Execute(kQueries[i++ % kQueries.size()]);
         if (!result.ok()) {
           thread_status[t] = result.status();
+          failed_threads.fetch_add(1);
           return;
         }
         executed.fetch_add(1);
       }
     });
   }
-  ASSERT_TRUE(
-      ingest::RunPipeline(parallel.get(), dataset.MakeSources(groups), {})
-          .ok());
+  // One source pauses halfway until a query has completed (or every
+  // query thread has failed), so queries overlap the rest of the
+  // ingestion.
+  ASSERT_TRUE(ingest::RunPipeline(
+                  parallel.get(),
+                  SourcesPausingAtMidpoint(dataset, groups,
+                                           [&] {
+                                             return executed.load() > 0 ||
+                                                    failed_threads.load() == 3;
+                                           }),
+                  {})
+                  .ok());
   done.store(true);
   for (auto& thread : query_threads) thread.join();
   for (const Status& status : thread_status) {
@@ -178,12 +240,9 @@ TEST(ClusterConcurrencyTest, StressIngestionWithParallelAggregates) {
   sequential_config.parallelism = 1;
   auto sequential = *cluster::ClusterEngine::Create(
       dataset.catalog(), groups, &registry, sequential_config);
-  ingest::PipelineOptions sequential_options;
-  sequential_options.parallelism = 1;
-  ASSERT_TRUE(ingest::RunPipeline(sequential.get(),
-                                  dataset.MakeSources(groups),
-                                  sequential_options)
-                  .ok());
+  ASSERT_TRUE(
+      ingest::RunPipeline(sequential.get(), dataset.MakeSources(groups), {})
+          .ok());
 
   for (const std::string& sql : kQueries) {
     auto from_pool = *parallel->Execute(sql);

@@ -59,7 +59,7 @@ struct Fixture {
   ModelRegistry registry = ModelRegistry::Default();
   std::unique_ptr<cluster::ClusterEngine> engine;
 
-  explicit Fixture(int num_groups, int workers = 2) {
+  explicit Fixture(int num_groups, int workers = 2, int parallelism = 0) {
     catalog = std::make_unique<TimeSeriesCatalog>(std::vector<Dimension>{});
     Tid tid = 1;
     for (int g = 1; g <= num_groups; ++g) {
@@ -74,6 +74,7 @@ struct Fixture {
     }
     cluster::ClusterConfig config;
     config.num_workers = workers;
+    config.parallelism = parallelism;
     engine = std::move(*cluster::ClusterEngine::Create(
         catalog.get(), groups, &registry, config));
   }
@@ -113,15 +114,12 @@ TEST(PipelineTest, MicroBatchSizeDoesNotChangeResults) {
 }
 
 TEST(PipelineTest, SingleThreadedModeMatches) {
-  Fixture fixture(4, /*workers=*/3);
+  Fixture fixture(4, /*workers=*/3, /*parallelism=*/1);
   std::vector<std::unique_ptr<GroupRowSource>> sources;
   for (Gid g = 1; g <= 4; ++g) {
     sources.push_back(std::make_unique<ScriptedSource>(g, 1, 200, 1.0f));
   }
-  PipelineOptions options;
-  options.thread_per_worker = false;
-  auto report =
-      *RunPipeline(fixture.engine.get(), std::move(sources), options);
+  auto report = *RunPipeline(fixture.engine.get(), std::move(sources), {});
   EXPECT_EQ(report.data_points, 4 * 200);
 }
 

@@ -207,6 +207,28 @@ class SummaryIndexPropertyTest : public ::testing::Test {
     }
   }
 
+  // The "name: number" lines EXPLAIN ANALYZE prints for `sql` on one
+  // store.
+  std::map<std::string, int64_t> ExplainCounters(const std::string& sql,
+                                                 size_t store_index) {
+    std::map<std::string, int64_t> counters;
+    auto result = engine_->Execute("EXPLAIN ANALYZE " + sql,
+                                   {stores_[store_index].get()});
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (!result.ok()) return counters;
+    for (const auto& row : result->rows) {
+      const std::string& line = std::get<std::string>(row[0]);
+      size_t colon = line.rfind(": ");
+      if (colon == std::string::npos) continue;
+      char* end = nullptr;
+      long long value = std::strtoll(line.c_str() + colon + 2, &end, 10);
+      if (end != nullptr && *end == '\0') {
+        counters[line.substr(0, colon)] = value;
+      }
+    }
+    return counters;
+  }
+
   ScanStats StatsFor(const std::string& sql, size_t store_index) {
     auto ast = ParseQuery(sql);
     EXPECT_TRUE(ast.ok());
@@ -336,6 +358,23 @@ TEST_F(SummaryIndexPropertyTest, CheckpointedBlocksAnswerFromSummaries) {
   }
 }
 
+TEST_F(SummaryIndexPropertyTest, CheckpointedSumFoldsFromTheIndexAlone) {
+  // A covered block's SUM folds each segment's summary with the gap mask
+  // and length its index keeps: no slab block is pinned, checkpointed or
+  // reopened, and nothing is decoded.
+  for (size_t block_size : kBlockSizes) {
+    for (Placement placement :
+         {Placement::kCheckpointed, Placement::kReopened}) {
+      std::map<std::string, int64_t> counters = ExplainCounters(
+          "SELECT SUM_S(*) FROM Segment", Slot(block_size, placement));
+      ASSERT_TRUE(counters.count("cold pins")) << block_size;
+      EXPECT_GT(counters["blocks summarized"], 0) << block_size;
+      EXPECT_EQ(counters["cold pins"], 0) << block_size;
+      EXPECT_EQ(counters["segments decoded"], 0) << block_size;
+    }
+  }
+}
+
 TEST_F(SummaryIndexPropertyTest, CountOnlyDataPointSkipsDecoding) {
   const size_t hot = Slot(256, Placement::kHot);
   ScanStats stats = StatsFor("SELECT COUNT(Value) FROM DataPoint", hot);
@@ -348,20 +387,8 @@ TEST_F(SummaryIndexPropertyTest, CountOnlyDataPointSkipsDecoding) {
 }
 
 TEST_F(SummaryIndexPropertyTest, ExplainAnalyzeReportsPruningCounters) {
-  auto result = engine_->Execute("EXPLAIN ANALYZE SELECT SUM_S(*) FROM Segment",
-                                 {stores_[Slot(256, Placement::kHot)].get()});
-  ASSERT_TRUE(result.ok()) << result.status();
-  std::map<std::string, int64_t> counters;
-  for (const auto& row : result->rows) {
-    const std::string& line = std::get<std::string>(row[0]);
-    size_t colon = line.rfind(": ");
-    if (colon == std::string::npos) continue;
-    char* end = nullptr;
-    long long value = std::strtoll(line.c_str() + colon + 2, &end, 10);
-    if (end != nullptr && *end == '\0') {
-      counters[line.substr(0, colon)] = value;
-    }
-  }
+  std::map<std::string, int64_t> counters = ExplainCounters(
+      "SELECT SUM_S(*) FROM Segment", Slot(256, Placement::kHot));
   ASSERT_TRUE(counters.count("blocks skipped"));
   ASSERT_TRUE(counters.count("blocks summarized"));
   ASSERT_TRUE(counters.count("blocks scanned"));

@@ -580,22 +580,29 @@ TEST_F(SlabSegmentStoreTest, OpenRejectsBlockSizeZero) {
 }
 
 TEST_F(SlabSegmentStoreTest, VersionOneColdIndexIsRefusedByName) {
-  // A slab whose cold index predates per-block pre-folds (version 1) is
-  // refused, never read as if it had them.
-  {
-    SlabFileOptions slab_options;
-    slab_options.path = (dir_ / "segments.slab").string();
-    auto slab = SlabFile::Open(slab_options);
-    ASSERT_TRUE(slab.ok()) << slab.status();
-    BufferWriter index;
-    index.WriteVarint(1);  // Version.
-    index.WriteVarint(0);  // Groups.
-    ASSERT_TRUE((*slab)->StageBlock(index.Finish(), ~uint64_t{0}).ok());
-    ASSERT_TRUE((*slab)->Commit(0).ok());
+  // A slab whose cold index predates per-block pre-folds (version 1) or
+  // per-segment gap masks and lengths (version 2) is refused, never read
+  // as if it had them.
+  for (uint64_t version : {1, 2}) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    {
+      SlabFileOptions slab_options;
+      slab_options.path = (dir_ / "segments.slab").string();
+      auto slab = SlabFile::Open(slab_options);
+      ASSERT_TRUE(slab.ok()) << slab.status();
+      BufferWriter index;
+      index.WriteVarint(version);
+      index.WriteVarint(0);  // Groups.
+      ASSERT_TRUE((*slab)->StageBlock(index.Finish(), ~uint64_t{0}).ok());
+      ASSERT_TRUE((*slab)->Commit(0).ok());
+    }
+    Status status = SegmentStore::Open(Options()).status();
+    EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status;
+    EXPECT_NE(status.ToString().find("version " + std::to_string(version)),
+              std::string::npos)
+        << status;
   }
-  Status status = SegmentStore::Open(Options()).status();
-  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status;
-  EXPECT_NE(status.ToString().find("version 1"), std::string::npos) << status;
 }
 
 TEST_F(SlabSegmentStoreTest, OutOfOrderPutsSplitFullCheckpointedBlocks) {
@@ -629,8 +636,8 @@ TEST_F(SlabSegmentStoreTest, OutOfOrderPutsSplitFullCheckpointedBlocks) {
 
 TEST_F(SlabSegmentStoreTest, UnsummarizableBlocksRoundTripThroughColdIndex) {
   // Group 1 materializes summaries, but no decoder knows its segments'
-  // model: every summary in its blocks is invalid (width 0). The cold index
-  // must read them back as such and still parse group 2 after them.
+  // model: its blocks have no summaries. The cold index must read them
+  // back as such and still parse group 2 after them.
   const ModelRegistry registry = ModelRegistry::Default();
   SegmentStoreOptions options = Options();
   options.registry = &registry;

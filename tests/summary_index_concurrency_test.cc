@@ -69,12 +69,12 @@ TEST(SummaryIndexConcurrencyTest, IndexedScansRaceAppends) {
         return BlockAction::kSummarized;
       };
       callbacks.on_segment = [&](const Segment& segment,
-                                 const SegmentSummary* summary) {
+                                 const double* summary) {
         if (segment.Length() != 10 || segment.si != 100) {
           return Status::Internal("inconsistent segment");
         }
-        if (summary != nullptr && summary->valid() &&
-            summary->min(0) != 10.0) {
+        // Summary columns are {sum, min, max}.
+        if (summary != nullptr && summary[1] != 10.0) {
           return Status::Internal("inconsistent summary");
         }
         points += segment.Length();
@@ -118,7 +118,7 @@ TEST(SummaryIndexConcurrencyTest, IndexedScansRaceAppends) {
     total += view.block->counts[0];
     return BlockAction::kSummarized;
   };
-  callbacks.on_segment = [&](const Segment& segment, const SegmentSummary*) {
+  callbacks.on_segment = [&](const Segment& segment, const double*) {
     total += segment.Length();
     return Status::OK();
   };
@@ -235,8 +235,8 @@ TEST(SummaryIndexConcurrencyTest, CheckpointsAndOutOfOrderPutsRaceScans) {
   // checkpoints in a loop (sealing tails, swapping owned payloads for slab
   // leases, freeing rewritten blocks), and a reader consumes covered
   // blocks. Every block a scan sees must agree with itself: its segment
-  // count and pre-folded point count match the payload it reads, leased
-  // or owned.
+  // count, pre-folded point count and per-segment gap masks and lengths
+  // match the payload it reads, leased or owned.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("mdb_sealed_race_" + std::to_string(::getpid()));
@@ -253,12 +253,18 @@ TEST(SummaryIndexConcurrencyTest, CheckpointsAndOutOfOrderPutsRaceScans) {
       IndexedScanCallbacks callbacks;
       callbacks.on_covered_block = [&](const BlockView& view)
           -> Result<BlockAction> {
+        const SealedBlock& block = *view.block;
         int64_t segments = 0;
         int64_t points = 0;
         MODELARDB_RETURN_NOT_OK(view.ForEachSegment(
-            [&](const Segment& segment, const SegmentSummary* summary) {
-              if (summary == nullptr || summary->min(0) != 10.0) {
+            [&](const Segment& segment, const double* summary) {
+              if (summary == nullptr || summary[1] != 10.0) {
                 return Status::Internal("inconsistent summary");
+              }
+              if (segments >= block.count ||
+                  block.gap_masks[segments] != segment.gap_mask ||
+                  block.lengths[segments] != segment.Length()) {
+                return Status::Internal("index disagrees with a segment");
               }
               ++segments;
               points += segment.Length();
@@ -271,8 +277,7 @@ TEST(SummaryIndexConcurrencyTest, CheckpointsAndOutOfOrderPutsRaceScans) {
         }
         return BlockAction::kSummarized;
       };
-      callbacks.on_segment = [](const Segment& segment,
-                                const SegmentSummary*) {
+      callbacks.on_segment = [](const Segment& segment, const double*) {
         return segment.Length() == 10
                    ? Status::OK()
                    : Status::Internal("inconsistent segment");

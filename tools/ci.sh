@@ -95,7 +95,8 @@ echo "ci: diagnostics-bundle gate passed"
 # so this also catches that replica drifting from the engine. Checkpointed
 # blocks must answer S-AGG and L-AGG from their summaries exactly as hot
 # ones do: the traced summarized_share of both classes must be equal on
-# ep_cold and ep_hot.
+# ep_cold and ep_hot, and ep_cold's traced cold_pins of both classes must
+# be 0 (a covered block folds from its index, without a slab pin).
 results=()
 for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0" \
            "--workload ep_cold --trace 1"; do
@@ -117,7 +118,13 @@ bad = [name for name in ("sagg.storage.summarized_share",
 for name in bad:
     print("FAIL: e2ebench %s is %s on ep_cold but %s on ep_hot"
           % (name, cold[name]["value"], hot[name]["value"]), file=sys.stderr)
-sys.exit(1 if bad else 0)
+pinned = [name for name in ("sagg.storage.cold_pins",
+                            "lagg.storage.cold_pins")
+          if cold[name]["value"] != 0]
+for name in pinned:
+    print("FAIL: e2ebench %s is %s on ep_cold, not 0"
+          % (name, cold[name]["value"]), file=sys.stderr)
+sys.exit(1 if bad or pinned else 0)
 PY
 then
   exit 1
