@@ -1,4 +1,4 @@
-#include "workload/baseline_query.h"
+#include "bench/baselines/baseline_query.h"
 
 namespace modelardb {
 namespace workload {

@@ -7,15 +7,15 @@
 // every benchmark can run the *same logical query* against both ModelarDB++
 // (on models) and the baselines (on points).
 
-#ifndef MODELARDB_WORKLOAD_BASELINE_QUERY_H_
-#define MODELARDB_WORKLOAD_BASELINE_QUERY_H_
+#ifndef MODELARDB_BENCH_BASELINES_BASELINE_QUERY_H_
+#define MODELARDB_BENCH_BASELINES_BASELINE_QUERY_H_
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/baselines/data_point_store.h"
 #include "dims/dimensions.h"
-#include "storage/data_point_store.h"
 #include "util/time_util.h"
 
 namespace modelardb {
@@ -57,4 +57,4 @@ Result<std::vector<DataPoint>> CollectPoints(const DataPointStore& store,
 }  // namespace workload
 }  // namespace modelardb
 
-#endif  // MODELARDB_WORKLOAD_BASELINE_QUERY_H_
+#endif  // MODELARDB_BENCH_BASELINES_BASELINE_QUERY_H_

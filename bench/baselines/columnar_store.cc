@@ -1,4 +1,4 @@
-#include "storage/columnar_store.h"
+#include "bench/baselines/columnar_store.h"
 
 #include <filesystem>
 

@@ -10,15 +10,15 @@
 // Write-once semantics: scans fail until FinishIngest() — the paper's
 // reason Parquet/ORC do not support online analytics (§7.3).
 
-#ifndef MODELARDB_STORAGE_COLUMNAR_STORE_H_
-#define MODELARDB_STORAGE_COLUMNAR_STORE_H_
+#ifndef MODELARDB_BENCH_BASELINES_COLUMNAR_STORE_H_
+#define MODELARDB_BENCH_BASELINES_COLUMNAR_STORE_H_
 
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "storage/data_point_store.h"
+#include "bench/baselines/data_point_store.h"
 #include "storage/wal.h"
 
 namespace modelardb {
@@ -84,4 +84,4 @@ class ColumnarStore : public DataPointStore {
 
 }  // namespace modelardb
 
-#endif  // MODELARDB_STORAGE_COLUMNAR_STORE_H_
+#endif  // MODELARDB_BENCH_BASELINES_COLUMNAR_STORE_H_

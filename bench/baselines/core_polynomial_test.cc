@@ -1,4 +1,4 @@
-#include "core/models/polynomial.h"
+#include "bench/baselines/polynomial.h"
 
 #include <gtest/gtest.h>
 
@@ -111,10 +111,10 @@ TEST(PolynomialTest, VertexInsideRangeIsExtremum) {
 }
 
 TEST(PolynomialTest, ExtendedRegistryUsesItInTheGenerator) {
-  ModelRegistry registry = ModelRegistry::Extended();
+  ModelRegistry registry = ExtendedRegistry();
   EXPECT_EQ(registry.fitting_sequence(),
-            (std::vector<Mid>{kMidPmcMean, kMidSwing, kMidPolynomial,
-                              kMidGorilla}));
+            (std::vector<Mid>{kMidPmcMean, kMidSwing, kMidGorilla,
+                              kMidPolynomial}));
   SegmentGeneratorConfig config;
   config.gid = 1;
   config.si = 100;

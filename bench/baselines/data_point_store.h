@@ -8,8 +8,8 @@
 // that exercise the same trade-offs: per-row overhead vs columnar scans vs
 // time-structured compression, and online analytics vs write-once files.
 
-#ifndef MODELARDB_STORAGE_DATA_POINT_STORE_H_
-#define MODELARDB_STORAGE_DATA_POINT_STORE_H_
+#ifndef MODELARDB_BENCH_BASELINES_DATA_POINT_STORE_H_
+#define MODELARDB_BENCH_BASELINES_DATA_POINT_STORE_H_
 
 #include <functional>
 #include <limits>
@@ -66,4 +66,4 @@ class DataPointStore {
 
 }  // namespace modelardb
 
-#endif  // MODELARDB_STORAGE_DATA_POINT_STORE_H_
+#endif  // MODELARDB_BENCH_BASELINES_DATA_POINT_STORE_H_

@@ -1,4 +1,6 @@
-#include "core/models/per_series.h"
+#include "bench/baselines/per_series.h"
+
+#include <cstdlib>
 
 #include "core/models/gorilla.h"
 #include "core/models/pmc_mean.h"
@@ -123,6 +125,30 @@ Result<std::unique_ptr<SegmentDecoder>> PerSeriesModel::DecodeMultiSwing(
 Result<std::unique_ptr<SegmentDecoder>> PerSeriesModel::DecodeMultiGorilla(
     ByteSpan params, int num_series, int length) {
   return DecodeWith(params, num_series, length, GorillaModel::Decode);
+}
+
+ModelRegistry MultiModelPerSegmentRegistry() {
+  ModelRegistry registry;
+  const struct {
+    Mid mid;
+    const char* name;
+    ModelFactory create;
+    DecoderFactory decode;
+  } wrappers[] = {
+      {kMidMultiPmcMean, "Multi-PMC-Mean", PerSeriesModel::CreateMultiPmc,
+       PerSeriesModel::DecodeMultiPmc},
+      {kMidMultiSwing, "Multi-Swing", PerSeriesModel::CreateMultiSwing,
+       PerSeriesModel::DecodeMultiSwing},
+      {kMidMultiGorilla, "Multi-Gorilla", PerSeriesModel::CreateMultiGorilla,
+       PerSeriesModel::DecodeMultiGorilla},
+  };
+  for (const auto& w : wrappers) {
+    // Fresh user Mids on a fresh registry: registration cannot fail.
+    if (!registry.RegisterModel(w.mid, w.name, w.create, w.decode).ok()) {
+      std::abort();
+    }
+  }
+  return registry;
 }
 
 }  // namespace modelardb

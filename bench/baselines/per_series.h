@@ -7,9 +7,13 @@
 // not advanced, and leftover parameters of the sub-models that accepted the
 // value are dropped because serialization always re-derives the parameters
 // for the wrapper's (shorter) accepted length.
+//
+// Not part of the library: the wrappers are ordinary user models that
+// MultiModelPerSegmentRegistry() adds through the public RegisterModel
+// extension path (§3.1), for the §5.1-vs-§5.2 ablation.
 
-#ifndef MODELARDB_CORE_MODELS_PER_SERIES_H_
-#define MODELARDB_CORE_MODELS_PER_SERIES_H_
+#ifndef MODELARDB_BENCH_BASELINES_PER_SERIES_H_
+#define MODELARDB_BENCH_BASELINES_PER_SERIES_H_
 
 #include <memory>
 #include <string>
@@ -18,6 +22,11 @@
 #include "core/model.h"
 
 namespace modelardb {
+
+// User Mids (>= kMinUserMid) of the wrappers around the bundled models.
+inline constexpr Mid kMidMultiPmcMean = 111;
+inline constexpr Mid kMidMultiSwing = 112;
+inline constexpr Mid kMidMultiGorilla = 113;
 
 class PerSeriesModel : public Model {
  public:
@@ -86,6 +95,11 @@ class PerSeriesDecoder : public SegmentDecoder {
   int length_;
 };
 
+// A registry whose fitting sequence is the §5.1 per-series wrappers
+// (Multi-PMC-Mean -> Multi-Swing -> Multi-Gorilla) instead of the
+// group-aware §5.2 models; it still decodes the bundled models.
+ModelRegistry MultiModelPerSegmentRegistry();
+
 }  // namespace modelardb
 
-#endif  // MODELARDB_CORE_MODELS_PER_SERIES_H_
+#endif  // MODELARDB_BENCH_BASELINES_PER_SERIES_H_

@@ -1,7 +1,8 @@
-#include "core/models/polynomial.h"
+#include "bench/baselines/polynomial.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "util/buffer.h"
 
@@ -171,6 +172,18 @@ AggregateSummary PolynomialDecoder::AggregateRange(int from_row, int to_row,
     out.max = std::max(out.max, candidates[i]);
   }
   return out;
+}
+
+ModelRegistry ExtendedRegistry() {
+  ModelRegistry registry = ModelRegistry::Default();
+  // A fresh user Mid on a fresh registry: registration cannot fail.
+  if (!registry
+           .RegisterModel(kMidPolynomial, "Polynomial",
+                          PolynomialModel::Create, PolynomialModel::Decode)
+           .ok()) {
+    std::abort();
+  }
+  return registry;
 }
 
 }  // namespace modelardb

@@ -9,12 +9,13 @@
 // a row iff the refitted curve stays inside every buffered interval (an
 // O(n) check per append, bounded by the model length limit).
 //
-// Not part of ModelRegistry::Default() — the paper's evaluation uses
-// PMC/Swing/Gorilla — but available via ModelRegistry presets or
-// RegisterModel; bench_ablation_polynomial measures what it adds.
+// Not part of the library — the paper's evaluation uses PMC/Swing/Gorilla —
+// but an ordinary user model: ExtendedRegistry() adds it through the public
+// RegisterModel extension path (§3.1), and bench_ablation_polynomial
+// measures what it adds.
 
-#ifndef MODELARDB_CORE_MODELS_POLYNOMIAL_H_
-#define MODELARDB_CORE_MODELS_POLYNOMIAL_H_
+#ifndef MODELARDB_BENCH_BASELINES_POLYNOMIAL_H_
+#define MODELARDB_BENCH_BASELINES_POLYNOMIAL_H_
 
 #include <array>
 #include <memory>
@@ -24,7 +25,7 @@
 
 namespace modelardb {
 
-inline constexpr Mid kMidPolynomial = 5;
+inline constexpr Mid kMidPolynomial = 105;  // A user Mid (>= kMinUserMid).
 
 class PolynomialModel : public Model {
  public:
@@ -83,6 +84,10 @@ class PolynomialDecoder : public SegmentDecoder {
   int length_;
 };
 
+// ModelRegistry::Default() with the polynomial model registered after
+// Gorilla: fitting sequence PMC-Mean -> Swing -> Gorilla -> Polynomial.
+ModelRegistry ExtendedRegistry();
+
 }  // namespace modelardb
 
-#endif  // MODELARDB_CORE_MODELS_POLYNOMIAL_H_
+#endif  // MODELARDB_BENCH_BASELINES_POLYNOMIAL_H_

@@ -1,4 +1,4 @@
-#include "storage/row_store.h"
+#include "bench/baselines/row_store.h"
 
 #include <filesystem>
 

@@ -7,15 +7,15 @@
 // ingestion (Cassandra supports online analytics but pays for it in write
 // throughput and storage, which is the behaviour the benchmarks reproduce).
 
-#ifndef MODELARDB_STORAGE_ROW_STORE_H_
-#define MODELARDB_STORAGE_ROW_STORE_H_
+#ifndef MODELARDB_BENCH_BASELINES_ROW_STORE_H_
+#define MODELARDB_BENCH_BASELINES_ROW_STORE_H_
 
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "storage/data_point_store.h"
+#include "bench/baselines/data_point_store.h"
 #include "storage/wal.h"
 #include "util/env.h"
 
@@ -82,4 +82,4 @@ class RowStore : public DataPointStore {
 
 }  // namespace modelardb
 
-#endif  // MODELARDB_STORAGE_ROW_STORE_H_
+#endif  // MODELARDB_BENCH_BASELINES_ROW_STORE_H_

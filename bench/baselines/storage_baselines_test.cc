@@ -3,9 +3,9 @@
 #include <filesystem>
 #include <map>
 
-#include "storage/columnar_store.h"
-#include "storage/row_store.h"
-#include "storage/tsm_store.h"
+#include "bench/baselines/columnar_store.h"
+#include "bench/baselines/row_store.h"
+#include "bench/baselines/tsm_store.h"
 #include "util/random.h"
 
 namespace modelardb {

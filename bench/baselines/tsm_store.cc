@@ -1,4 +1,4 @@
-#include "storage/tsm_store.h"
+#include "bench/baselines/tsm_store.h"
 
 #include <filesystem>
 

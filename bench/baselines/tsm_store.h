@@ -9,15 +9,15 @@
 // analytics (points are queryable while ingesting), and, like the paper's
 // open-source InfluxDB, it is a single-node store.
 
-#ifndef MODELARDB_STORAGE_TSM_STORE_H_
-#define MODELARDB_STORAGE_TSM_STORE_H_
+#ifndef MODELARDB_BENCH_BASELINES_TSM_STORE_H_
+#define MODELARDB_BENCH_BASELINES_TSM_STORE_H_
 
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "storage/data_point_store.h"
+#include "bench/baselines/data_point_store.h"
 #include "storage/wal.h"
 #include "util/env.h"
 
@@ -81,4 +81,4 @@ class TsmStore : public DataPointStore {
 
 }  // namespace modelardb
 
-#endif  // MODELARDB_STORAGE_TSM_STORE_H_
+#endif  // MODELARDB_BENCH_BASELINES_TSM_STORE_H_

@@ -6,6 +6,7 @@
 // compress values across the group too. This bench ingests the same EP
 // data with both registries and reports storage per error bound.
 
+#include "bench/baselines/per_series.h"
 #include "bench/harness.h"
 
 int main() {
@@ -16,7 +17,7 @@ int main() {
   std::printf("%-8s %16s %16s %10s\n", "bound", "multi (MiB)",
               "single (MiB)", "single/multi");
   for (double pct : {0.0, 1.0, 5.0, 10.0}) {
-    ModelRegistry multi = ModelRegistry::MultiModelPerSegment();
+    ModelRegistry multi = MultiModelPerSegmentRegistry();
     auto ds_multi = bench::MakeEp();
     auto multi_run = bench::CheckOk(
         bench::BuildModelar(&ds_multi, false, pct, 1,

@@ -1,17 +1,17 @@
 // Ablation: does adding a quadratic polynomial model to the fitting
-// sequence (ModelRegistry::Extended) improve compression over the paper's
+// sequence (ExtendedRegistry) improve compression over the paper's
 // PMC/Swing/Gorilla trio? This probes the paper's extensibility claim —
 // model sets are workload-dependent and user-swappable (§3.1).
 
+#include "bench/baselines/polynomial.h"
 #include "bench/harness.h"
-#include "core/models/polynomial.h"
 
 int main() {
   using namespace modelardb;
   bench::PrintHeader("Ablation",
                      "Adding a polynomial model to the sequence");
   bench::TempDir dir("abl_poly");
-  ModelRegistry extended = ModelRegistry::Extended();
+  ModelRegistry extended = ExtendedRegistry();
   std::printf("%-8s %18s %18s %10s\n", "bound", "default (MiB)",
               "with poly (MiB)", "ratio");
   for (double pct : {0.0, 1.0, 5.0, 10.0}) {

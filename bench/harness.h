@@ -20,16 +20,16 @@
 #include <utility>
 #include <vector>
 
+#include "bench/baselines/baseline_query.h"
+#include "bench/baselines/columnar_store.h"
+#include "bench/baselines/row_store.h"
+#include "bench/baselines/tsm_store.h"
 #include "cluster/cluster.h"
 #include "ingest/pipeline.h"
 #include "obs/metrics.h"
 #include "partition/partitioner.h"
-#include "storage/columnar_store.h"
-#include "storage/row_store.h"
-#include "storage/tsm_store.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
-#include "workload/baseline_query.h"
 #include "workload/dataset.h"
 #include "workload/queries.h"
 

@@ -5,9 +5,7 @@
 #include "util/simd/kernels.h"
 
 #include "core/models/gorilla.h"
-#include "core/models/per_series.h"
 #include "core/models/pmc_mean.h"
-#include "core/models/polynomial.h"
 #include "core/models/raw_fallback.h"
 #include "core/models/swing.h"
 
@@ -67,12 +65,6 @@ ModelRegistry::ModelRegistry() {
   add_decoder(kMidSwing, "Swing", SwingModel::Decode);
   add_decoder(kMidGorilla, "Gorilla", GorillaModel::Decode);
   add_decoder(kMidRawFallback, "Raw", RawFallbackModel::Decode);
-  add_decoder(kMidPolynomial, "Polynomial", PolynomialModel::Decode);
-  add_decoder(kMidMultiPmcMean, "Multi-PMC-Mean",
-              PerSeriesModel::DecodeMultiPmc);
-  add_decoder(kMidMultiSwing, "Multi-Swing", PerSeriesModel::DecodeMultiSwing);
-  add_decoder(kMidMultiGorilla, "Multi-Gorilla",
-              PerSeriesModel::DecodeMultiGorilla);
 }
 
 ModelRegistry ModelRegistry::Default() {
@@ -85,27 +77,6 @@ ModelRegistry ModelRegistry::Default() {
   // lossless. The raw fallback is not part of the sequence; the generator
   // only uses it when no sequence model accepted any row.
   registry.fitting_sequence_ = {kMidPmcMean, kMidSwing, kMidGorilla};
-  return registry;
-}
-
-ModelRegistry ModelRegistry::Extended() {
-  ModelRegistry registry = Default();
-  registry.entries_[kMidPolynomial].model_factory = PolynomialModel::Create;
-  registry.fitting_sequence_ = {kMidPmcMean, kMidSwing, kMidPolynomial,
-                                kMidGorilla};
-  return registry;
-}
-
-ModelRegistry ModelRegistry::MultiModelPerSegment() {
-  ModelRegistry registry;
-  registry.entries_[kMidMultiPmcMean].model_factory =
-      PerSeriesModel::CreateMultiPmc;
-  registry.entries_[kMidMultiSwing].model_factory =
-      PerSeriesModel::CreateMultiSwing;
-  registry.entries_[kMidMultiGorilla].model_factory =
-      PerSeriesModel::CreateMultiGorilla;
-  registry.fitting_sequence_ = {kMidMultiPmcMean, kMidMultiSwing,
-                                kMidMultiGorilla};
   return registry;
 }
 

@@ -4,9 +4,8 @@
 // of a time series group over a window of consecutive sampling instants,
 // within a user-defined error bound. Models are black boxes behind this
 // interface (§3.2): ModelarDB++ ships PMC-Mean, Swing and Gorilla extended
-// for group compression (§5.2) plus the multiple-models-per-segment baseline
-// (§5.1), and users can register additional models at runtime through
-// ModelRegistry without recompiling the library.
+// for group compression (§5.2), and users can register additional models at
+// runtime through ModelRegistry without recompiling the library.
 
 #ifndef MODELARDB_CORE_MODEL_H_
 #define MODELARDB_CORE_MODEL_H_
@@ -128,10 +127,6 @@ inline constexpr Mid kMidPmcMean = 1;
 inline constexpr Mid kMidSwing = 2;
 inline constexpr Mid kMidGorilla = 3;
 inline constexpr Mid kMidRawFallback = 4;
-// Multiple-models-per-segment wrappers (§5.1 baseline).
-inline constexpr Mid kMidMultiPmcMean = 11;
-inline constexpr Mid kMidMultiSwing = 12;
-inline constexpr Mid kMidMultiGorilla = 13;
 inline constexpr Mid kMinUserMid = 100;
 
 // Registry mapping Mids to model/decoder factories. This is the paper's
@@ -143,16 +138,8 @@ class ModelRegistry {
   // fitting order PMC -> Swing -> Gorilla used throughout the paper.
   static ModelRegistry Default();
 
-  // Registry whose fitting sequence uses the §5.1 per-series wrappers
-  // instead of the fully group-aware §5.2 models (for the ablation bench).
-  static ModelRegistry MultiModelPerSegment();
-
-  // Default() plus the quadratic polynomial model between Swing and
-  // Gorilla (an extension beyond the paper's three evaluated models).
-  static ModelRegistry Extended();
-
   // Registry with no fitting sequence (decode-only registries still know
-  // the bundled decoders).
+  // the bundled decoders, Mids 1-4).
   ModelRegistry();
 
   // Registers a model type. `in_fitting_sequence` controls whether the

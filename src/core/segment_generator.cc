@@ -202,42 +202,40 @@ Status SegmentGenerator::EmitBest(std::vector<Segment>* out) {
     mid = best->mid();
     length = best_length;
     params = best->SerializeParameters(length);
-    if (config_.verify_on_emit) {
-      // Decode and verify every reconstructed value against the originals;
-      // trim the segment at the first violation (safety net for float
-      // rounding and user-defined models).
-      auto decoder_result =
-          config_.registry->CreateDecoder(mid, params, active_count_, length);
-      if (!decoder_result.ok()) return decoder_result.status();
-      const SegmentDecoder& decoder = **decoder_result;
-      int verified = 0;
-      for (int r = 0; r < length; ++r) {
-        bool row_ok = true;
-        for (int j = 0; j < active_count_; ++j) {
-          if (!config_.error_bound.Within(decoder.ValueAt(r, j),
-                                          buffer_[r].values[j])) {
-            row_ok = false;
-            break;
-          }
+    // Decode and verify every reconstructed value against the originals;
+    // trim the segment at the first violation (safety net for float
+    // rounding and user-defined models).
+    auto decoder_result =
+        config_.registry->CreateDecoder(mid, params, active_count_, length);
+    if (!decoder_result.ok()) return decoder_result.status();
+    const SegmentDecoder& decoder = **decoder_result;
+    int verified = 0;
+    for (int r = 0; r < length; ++r) {
+      bool row_ok = true;
+      for (int j = 0; j < active_count_; ++j) {
+        if (!config_.error_bound.Within(decoder.ValueAt(r, j),
+                                        buffer_[r].values[j])) {
+          row_ok = false;
+          break;
         }
-        if (!row_ok) break;
-        ++verified;
       }
-      if (verified == 0) {
-        // The chosen model is unusable; retry with the raw fallback.
-        ModelConfig raw_config;
-        raw_config.num_series = active_count_;
-        raw_config.error_bound = config_.error_bound;
-        raw_config.length_limit = 1;
-        RawFallbackModel raw(raw_config);
-        raw.Append(buffer_[0].values.data());
-        mid = raw.mid();
-        length = 1;
-        params = raw.SerializeParameters(1);
-      } else if (verified < length) {
-        length = verified;
-        params = best->SerializeParameters(length);
-      }
+      if (!row_ok) break;
+      ++verified;
+    }
+    if (verified == 0) {
+      // The chosen model is unusable; retry with the raw fallback.
+      ModelConfig raw_config;
+      raw_config.num_series = active_count_;
+      raw_config.error_bound = config_.error_bound;
+      raw_config.length_limit = 1;
+      RawFallbackModel raw(raw_config);
+      raw.Append(buffer_[0].values.data());
+      mid = raw.mid();
+      length = 1;
+      params = raw.SerializeParameters(1);
+    } else if (verified < length) {
+      length = verified;
+      params = best->SerializeParameters(length);
     }
   }
 

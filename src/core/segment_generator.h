@@ -37,7 +37,6 @@ struct SegmentGeneratorConfig {
   ErrorBound error_bound = ErrorBound::Lossless();
   int length_limit = 50;              // Model Length Limit (Table 1).
   const ModelRegistry* registry = nullptr;  // Must outlive the generator.
-  bool verify_on_emit = true;
 };
 
 // Counters for the evaluation (Figs 16-17 report model usage).
@@ -107,7 +106,6 @@ class SegmentGenerator {
   Status EnsureCurrentModel();
 
   uint64_t GapMaskFromRow(const GroupRow& row) const;
-  uint64_t CurrentGapMask() const { return gap_mask_; }
 
   SegmentGeneratorConfig config_;
   std::vector<Tid> tids_;

@@ -57,11 +57,6 @@ struct GroupRow {
         values(std::move(vals)),
         present(values.size(), true) {}
 
-  bool AllPresent() const {
-    for (bool p : present)
-      if (!p) return false;
-    return true;
-  }
   int PresentCount() const {
     int n = 0;
     for (bool p : present) n += p ? 1 : 0;

@@ -128,7 +128,7 @@ std::string LayerOf(const std::string& path) {
 
 void CheckIoBoundary(const LintFile& file, std::vector<Finding>* findings) {
   static const PathRule kScope = {
-      {"src/", "tools/"},
+      {"src/", "tools/", "bench/baselines/"},
       {
           {"src/util/env.cc",
            "the Env implementation IS the I/O boundary"},
@@ -183,7 +183,7 @@ void CheckIoBoundary(const LintFile& file, std::vector<Finding>* findings) {
 
 void CheckSyncBoundary(const LintFile& file, std::vector<Finding>* findings) {
   static const PathRule kScope = {
-      {"src/", "tools/"},
+      {"src/", "tools/", "bench/baselines/"},
       {
           {"src/util/sync.h",
            "the annotated primitives wrap the std types here"},
@@ -222,7 +222,7 @@ void CheckSyncBoundary(const LintFile& file, std::vector<Finding>* findings) {
 
 void CheckDeterminism(const LintFile& file, std::vector<Finding>* findings) {
   static const PathRule kScope = {
-      {"src/"},
+      {"src/", "bench/baselines/"},
       {
           {"src/util/time_util.h", "the calendar/timestamp home layer"},
           {"src/util/time_util.cc", "the calendar/timestamp home layer"},
@@ -319,10 +319,18 @@ void CheckLayering(const LintFile& file, std::vector<Finding>* findings) {
   if (!StartsWith(file.path, "src/")) return;
   const std::string layer = LayerOf(file.path);
   const std::vector<std::string>* allowed = AllowedLayers(layer);
-  if (allowed == nullptr) return;  // Unknown layer: nothing to check.
 
   for (const IncludeDirective& inc : file.scanned.includes) {
     if (inc.system) continue;
+    if (StartsWith(inc.target, "bench/")) {
+      findings->push_back(
+          {"layering", file.path, inc.line,
+           "src/ must not include '" + inc.target +
+               "': bench/ (comparison baselines, ablation models, harness) "
+               "is built on the library, not part of it"});
+      continue;
+    }
+    if (allowed == nullptr) continue;  // Unknown layer: no DAG edges.
     size_t slash = inc.target.find('/');
     if (slash == std::string::npos) continue;
     const std::string target_layer = inc.target.substr(0, slash);

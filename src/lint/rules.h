@@ -7,11 +7,13 @@
 //                  (DESIGN.md §3g). No ofstream/ifstream/fstream, no
 //                  fopen/fwrite/fread, no open/write/read/pwrite/pread/
 //                  mmap/munmap/msync calls, no <fstream>, outside the Env
-//                  implementation and the allowlist.
+//                  implementation and the allowlist (src/, tools/ and
+//                  bench/baselines/).
 //   sync-boundary  All locking goes through the Clang-TSA-annotated
 //                  primitives in util/sync.h (DESIGN.md §3e); raw
 //                  std::mutex & friends would silently escape the
-//                  -Werror=thread-safety gate.
+//                  -Werror=thread-safety gate (src/, tools/ and
+//                  bench/baselines/).
 //   tsan-coverage  Every src file that includes util/sync.h must be
 //                  exercised by a test suite the tier-2 TSan ctest regex
 //                  (ThreadPool|Concurrency|Pipeline|Obs) matches, so new
@@ -20,14 +22,15 @@
 //                  anywhere must exist in src/obs/metric_names.h and
 //                  follow the naming convention; src code must use the
 //                  catalog constants, never string literals.
-//   determinism    No wall-clock/random/environment reads in src outside
-//                  util/time_util, util/random and explicitly suppressed
-//                  config-load sites: same-seed crash-recovery runs must
-//                  stay bit-identical (DESIGN.md §3g).
+//   determinism    No wall-clock/random/environment reads in src and
+//                  bench/baselines outside util/time_util, util/random and
+//                  explicitly suppressed config-load sites: same-seed
+//                  crash-recovery runs must stay bit-identical (DESIGN.md
+//                  §3g).
 //   layering       The include DAG is util <- storage/core <-
 //                  query/ingest/dims/partition <- cluster (obs importable
 //                  by all, workload on top, lint beside util); no upward
-//                  includes.
+//                  includes, and no src file includes a bench/ header.
 //
 // Rules fire as Findings; the engine (lint.h) then applies per-line
 // suppressions and the baseline.

@@ -11,7 +11,7 @@
 //
 // The process-wide kill switch SetEnabled(false) turns every Add/Observe
 // into a relaxed load + branch; the overhead benchmark compares the two
-// modes (bench_obs_overhead).
+// modes (bench_obs_deep).
 
 #ifndef MODELARDB_OBS_METRICS_H_
 #define MODELARDB_OBS_METRICS_H_

@@ -79,18 +79,11 @@ Tracer& Tracer::Global() {
   return *global;
 }
 
-void Tracer::SetCapacity(size_t capacity) {
-  if (capacity < 1) capacity = 1;
-  capacity_.store(capacity, std::memory_order_relaxed);
-  MutexLock lock(mutex_);
-  while (finished_.size() > capacity) finished_.pop_front();
-}
-
 std::unique_ptr<Trace> Tracer::StartTrace(std::string label) {
   if (!Enabled()) return nullptr;
-  const int64_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every > 1 &&
-      start_calls_.fetch_add(1, std::memory_order_relaxed) % every != 0) {
+  if (sample_every_ > 1 &&
+      start_calls_.fetch_add(1, std::memory_order_relaxed) % sample_every_ !=
+          0) {
     return nullptr;
   }
   return std::make_unique<Trace>(std::move(label));
@@ -106,11 +99,10 @@ int64_t Tracer::Finish(std::unique_ptr<Trace> trace) {
   TraceRecord record;
   record.label = trace->label();
   record.spans = trace->Spans();
-  const size_t capacity = capacity_.load(std::memory_order_relaxed);
   MutexLock lock(mutex_);
   record.trace_id = next_trace_id_++;
   finished_.push_back(std::move(record));
-  while (finished_.size() > capacity) finished_.pop_front();
+  while (finished_.size() > capacity_) finished_.pop_front();
   return finished_.back().trace_id;
 }
 

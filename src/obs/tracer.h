@@ -116,9 +116,8 @@ struct TraceRecord {
 // starts at zero, so the first query after startup (or ResetForTest) is
 // always traced. EXPLAIN ANALYZE bypasses sampling via StartForcedTrace.
 //
-// Both knobs are runtime-configurable: Global() seeds them from the
-// MODELARDB_TRACE_RING / MODELARDB_TRACE_SAMPLE environment variables,
-// and SetCapacity/SetSampleEvery override them.
+// Global() takes both knobs from the MODELARDB_TRACE_RING /
+// MODELARDB_TRACE_SAMPLE environment variables when they are set.
 class Tracer {
  public:
   static Tracer& Global();
@@ -133,21 +132,6 @@ class Tracer {
       : capacity_(capacity < 1 ? 1 : capacity), sample_every_(sample_every) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  // Trace 1 in every `n` StartTrace calls; 1 traces every call.
-  void SetSampleEvery(int64_t n) {
-    sample_every_.store(n < 1 ? 1 : n, std::memory_order_relaxed);
-  }
-  int64_t sample_every() const {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-
-  // Resizes the finished-trace ring (clamped to >= 1); shrinking evicts
-  // the oldest retained traces immediately.
-  void SetCapacity(size_t capacity);
-  size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
 
   // Null when tracing is disabled via obs::SetEnabled(false) or this call
   // lost the sampling draw — callers pass the pointer through
@@ -168,13 +152,11 @@ class Tracer {
   void ResetForTest();
 
  private:
-  // Lock-free by design: capacity and the sampling draw are relaxed
-  // atomics read on the StartTrace/Finish paths; an imprecise
-  // interleaving only shifts which call wins the draw or lets the ring
-  // briefly hold one extra trace, so none are GUARDED_BY the ring-buffer
-  // mutex.
-  std::atomic<size_t> capacity_;
-  std::atomic<int64_t> sample_every_;
+  const size_t capacity_;
+  const int64_t sample_every_;
+  // Lock-free by design: the sampling draw is a relaxed atomic read on the
+  // StartTrace path; an imprecise interleaving only shifts which call wins
+  // the draw, so it is not GUARDED_BY the ring-buffer mutex.
   std::atomic<int64_t> start_calls_{0};
   mutable Mutex mutex_;
   int64_t next_trace_id_ GUARDED_BY(mutex_) = 1;

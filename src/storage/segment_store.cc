@@ -637,6 +637,14 @@ Status SegmentStore::CheckpointLocked() {
   };
   int64_t groups_to_stage = 0;
   for (const auto& [gid, slot] : index_) groups_to_stage += has_hot(slot);
+  // Nothing logged, hot or retired since the last commit: the slab already
+  // holds what this checkpoint would write, so it writes nothing (and a
+  // checkpoint loop does not hold the mutex through two fsyncs per turn).
+  if (groups_to_stage == 0 && retired_slab_ids_.empty() &&
+      cold_index_block_id_ != 0 &&
+      slab_->wal_watermark() == wal_bytes_total_) {
+    return Status::OK();
+  }
   obs::EventRing::Global().Record(obs::EventKind::kCheckpointBegin,
                                   groups_to_stage);
   std::vector<std::pair<Gid, GroupSlot>> originals;

@@ -22,6 +22,10 @@ constexpr uint32_t kFormatVersion = 1;
 // magic + version + epoch + file_end + table_offset + table_size +
 // table_crc + wal_watermark + crc.
 constexpr size_t kRootBytes = 4 + 4 + 8 + 8 + 8 + 8 + 4 + 8 + 4;
+// Room a block table keeps past its serialized bytes: carving the table's
+// own extent rewrites at most one free entry, lengthening its offset
+// varint by at most 9 bytes (1 to 10).
+constexpr uint64_t kTableSlack = 16;
 
 struct RootHeader {
   uint64_t epoch = 0;
@@ -188,6 +192,9 @@ Status SlabFile::Load() {
         !ParseTable(base + off, static_cast<size_t>(len)).ok()) {
       continue;  // CRC'd yet unparseable: try the fallback root.
     }
+    // Tables written before Commit carved the table's extent ahead of its
+    // serialization may list that extent as free; it holds the live table.
+    if (len > 0) TrimFree(off, len);
     epoch_ = root.epoch;
     watermark_ = root.wal_watermark;
     frontier_ = std::max<uint64_t>(root.file_end, kDataStart);
@@ -252,8 +259,7 @@ std::vector<uint8_t> SlabFile::SerializeRoot(uint64_t epoch,
   return bytes;
 }
 
-std::vector<uint8_t> SlabFile::SerializeTable(
-    uint64_t table_extent_offset) const {
+std::vector<uint8_t> SlabFile::SerializeTable() const {
   // The table describes the post-commit state: committed blocks (frees are
   // already removed from committed_) plus everything staged this round,
   // and a free list that includes this round's frees and the PREVIOUS
@@ -284,15 +290,12 @@ std::vector<uint8_t> SlabFile::SerializeTable(
     write_free(entry.offset, entry.size);
   }
   if (table_size_ > 0) write_free(table_offset_, table_size_);
-  (void)table_extent_offset;  // The table never describes itself.
   return writer.Finish();
 }
 
 Result<uint64_t> SlabFile::Allocate(uint64_t size) {
   // First fit over reusable extents (freed before the last commit, no
-  // reader or lease holding them). No adjacent-extent coalescing yet:
-  // checkpoint blocks are uniform enough that first-fit reuse keeps
-  // fragmentation bounded.
+  // reader or lease holding them); Commit coalesces them.
   for (auto it = free_.begin(); it != free_.end(); ++it) {
     if (it->pins != nullptr && it->pins->load(std::memory_order_acquire) > 0) {
       continue;
@@ -316,6 +319,71 @@ Result<uint64_t> SlabFile::Allocate(uint64_t size) {
   uint64_t offset = frontier_;
   frontier_ += size;
   return offset;
+}
+
+void SlabFile::TrimFree(uint64_t offset, uint64_t size) {
+  const uint64_t end = offset + size;
+  std::vector<FreeExtent> kept;
+  for (FreeExtent& extent : free_) {
+    const uint64_t extent_end = extent.offset + extent.size;
+    if (extent_end <= offset || extent.offset >= end) {
+      kept.push_back(std::move(extent));
+      continue;
+    }
+    if (extent.offset < offset) {
+      kept.push_back(FreeExtent{extent.offset, offset - extent.offset});
+    }
+    if (extent_end > end) kept.push_back(FreeExtent{end, extent_end - end});
+  }
+  free_ = std::move(kept);
+}
+
+void SlabFile::CoalesceFree() {
+  // Without merging, checkpoints whose payload and table sizes drift split
+  // the free list into ever more fragments that no later request fits, and
+  // the table (which lists every free extent) grows with it: each commit
+  // would put a larger table at the frontier, and a store checkpointing in
+  // a loop would grow its file without bound. Extents a reader or lease
+  // still holds stay as they are.
+  std::vector<FreeExtent> held;
+  std::vector<FreeExtent> idle;
+  for (FreeExtent& extent : free_) {
+    const bool pinned = extent.pins != nullptr &&
+                        extent.pins->load(std::memory_order_acquire) > 0;
+    (pinned ? held : idle).push_back(std::move(extent));
+  }
+  std::sort(idle.begin(), idle.end(),
+            [](const FreeExtent& a, const FreeExtent& b) {
+              return a.offset < b.offset;
+            });
+  // A merged extent no longer names one freed block: its zombie ids stop
+  // resolving, as on reuse.
+  auto forget = [this](FreeExtent* extent) {
+    if (extent->zombie_id != 0) zombies_.erase(extent->zombie_id);
+    extent->zombie_id = 0;
+    extent->pins = nullptr;
+  };
+  std::vector<FreeExtent> merged;
+  for (FreeExtent& extent : idle) {
+    if (!merged.empty() &&
+        merged.back().offset + merged.back().size == extent.offset) {
+      forget(&merged.back());
+      forget(&extent);
+      merged.back().size += extent.size;
+    } else {
+      merged.push_back(std::move(extent));
+    }
+  }
+  // A free run that ends at the frontier returns to it.
+  if (!merged.empty() &&
+      merged.back().offset + merged.back().size == frontier_) {
+    forget(&merged.back());
+    frontier_ = merged.back().offset;
+    merged.pop_back();
+  }
+  free_ = std::move(held);
+  free_.insert(free_.end(), std::make_move_iterator(merged.begin()),
+               std::make_move_iterator(merged.end()));
 }
 
 Result<uint64_t> SlabFile::StageBlock(ByteSpan payload, uint64_t tag) {
@@ -360,11 +428,23 @@ Status SlabFile::FreeBlock(uint64_t id) {
 Status SlabFile::Commit(uint64_t wal_watermark) {
   MutexLock lock(mutex_);
   if (rw_ == nullptr) return Status::IOError("slab closed");
-  // 1. The new table goes to its own copy-on-write extent.
-  std::vector<uint8_t> table = SerializeTable(0);
+  // 1. The new table goes to its own copy-on-write extent. It is carved
+  //    before the final serialization, so the table never lists its own
+  //    extent as free (a reopened slab would hand it out and overwrite the
+  //    live table); kTableSlack covers what the carve adds. The table is
+  //    zero-padded to its extent (ParseTable ignores the padding), so
+  //    freeing it later returns exactly what was allocated.
+  std::vector<uint8_t> table = SerializeTable();
   uint64_t new_table_offset = 0;
   if (!table.empty()) {
-    MODELARDB_ASSIGN_OR_RETURN(new_table_offset, Allocate(table.size()));
+    const uint64_t extent = table.size() + kTableSlack;
+    MODELARDB_ASSIGN_OR_RETURN(new_table_offset, Allocate(extent));
+    table = SerializeTable();
+    if (table.size() > extent) {
+      free_.push_back(FreeExtent{new_table_offset, extent, nullptr});
+      return Status::Internal("slab table outgrew its extent");
+    }
+    table.resize(extent, 0);
   }
   Status io = Status::OK();
   if (!table.empty()) {
@@ -413,6 +493,7 @@ Status SlabFile::Commit(uint64_t wal_watermark) {
   if (table_size_ > 0) {
     free_.push_back(FreeExtent{table_offset_, table_size_, nullptr});
   }
+  CoalesceFree();
   table_offset_ = new_table_offset;
   table_size_ = table.size();
   epoch_ = new_epoch;
@@ -517,20 +598,6 @@ std::vector<std::pair<uint64_t, uint64_t>> SlabFile::ListBlocks() const {
   out.reserve(committed_.size());
   for (const auto& [id, entry] : committed_) out.emplace_back(id, entry.tag);
   return out;
-}
-
-Status SlabFile::AdviseBlock(uint64_t id, MmapFile::Access access) {
-  MutexLock lock(mutex_);
-  auto it = committed_.find(id);
-  if (it == committed_.end()) {
-    return Status::NotFound("slab block " + std::to_string(id));
-  }
-  if (map_ == nullptr || it->second.offset + it->second.size > map_->size()) {
-    return Status::OK();  // Not mapped (yet); nothing to advise.
-  }
-  // madvise changes kernel paging hints, not the mapping's logical bytes.
-  return const_cast<MmapFile*>(map_.get())
-      ->Advise(it->second.offset, it->second.size, access);
 }
 
 uint64_t SlabFile::wal_watermark() const {

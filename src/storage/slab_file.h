@@ -19,6 +19,9 @@
 // refcount, so a freed block's extent is not reused for new writes while
 // any reader still points into it. Extent reuse additionally waits for the
 // commit AFTER the free, keeping the previous durable root self-consistent.
+// Each commit merges adjacent free extents that nothing holds (a merged
+// block's id stops resolving, as on reuse), so the free list and the table
+// that lists it stay bounded however long checkpoints run.
 //
 // File layout:
 //   [slot A: root, 512 B] [slot B: root, 512 B] [data region ...]
@@ -143,9 +146,6 @@ class SlabFile {
   uint64_t epoch() const;
   SlabStats stats() const;
 
-  // Kernel access hint for a committed block's pages (best effort).
-  Status AdviseBlock(uint64_t id, MmapFile::Access access);
-
  private:
   struct BlockEntry {
     uint64_t id = 0;
@@ -179,8 +179,13 @@ class SlabFile {
   Status CreateFresh() REQUIRES(mutex_); // First-ever root (epoch 0).
   Status Remap() REQUIRES(mutex_);       // New mapping; old stays pinned.
   Result<uint64_t> Allocate(uint64_t size) REQUIRES(mutex_);
-  std::vector<uint8_t> SerializeTable(uint64_t table_extent_offset) const
-      REQUIRES(mutex_);
+  // Drops [offset, offset + size) from the free extents (Load only: they
+  // carry no pins or zombie ids).
+  void TrimFree(uint64_t offset, uint64_t size) REQUIRES(mutex_);
+  // Merges adjacent free extents no reader or lease holds, and returns a
+  // free run that ends at the frontier to it.
+  void CoalesceFree() REQUIRES(mutex_);
+  std::vector<uint8_t> SerializeTable() const REQUIRES(mutex_);
   std::vector<uint8_t> SerializeRoot(uint64_t epoch, uint64_t table_offset,
                                      uint64_t table_size, uint32_t table_crc,
                                      uint64_t wal_watermark) const

@@ -149,36 +149,6 @@ class PosixMmapFile final : public MmapFile {
 
   size_t size() const override { return size_; }
 
-  Status Advise(size_t offset, size_t length, Access access) override {
-    if (length == 0 || offset >= size_) return Status::OK();
-    if (length > size_ - offset) length = size_ - offset;
-    int advice = MADV_NORMAL;
-    switch (access) {
-      case Access::kNormal:
-        advice = MADV_NORMAL;
-        break;
-      case Access::kSequential:
-        advice = MADV_SEQUENTIAL;
-        break;
-      case Access::kRandom:
-        advice = MADV_RANDOM;
-        break;
-      case Access::kWillNeed:
-        advice = MADV_WILLNEED;
-        break;
-      case Access::kDontNeed:
-        advice = MADV_DONTNEED;
-        break;
-    }
-    // madvise needs a page-aligned address; widen to the enclosing pages.
-    size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    size_t begin = offset & ~(page - 1);
-    size_t end = offset + length;
-    // Best-effort hint: EINVAL/ENOMEM here cannot corrupt anything.
-    (void)::madvise(static_cast<uint8_t*>(base_) + begin, end - begin, advice);
-    return Status::OK();
-  }
-
   Status Sync(size_t offset, size_t length) override {
     if (!writable_) {
       return Status::InvalidArgument("msync on read-only mapping " + path_);

@@ -75,17 +75,10 @@ class RandomRWFile {
 // scan, so remap-on-grow never invalidates an in-flight morsel).
 class MmapFile {
  public:
-  // madvise hints for the kernel's read-ahead/eviction policy.
-  enum class Access { kNormal, kSequential, kRandom, kWillNeed, kDontNeed };
-
   virtual ~MmapFile() = default;
 
   virtual const uint8_t* data() const = 0;
   virtual size_t size() const = 0;
-
-  // Advises the kernel about the expected access pattern of
-  // [offset, offset + length). Best-effort: unsupported hints are OK.
-  virtual Status Advise(size_t offset, size_t length, Access access) = 0;
 
   // msync barrier for writable mappings: flushes dirty pages in
   // [offset, offset + length) to the file. InvalidArgument on read-only

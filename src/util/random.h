@@ -49,13 +49,6 @@ class Random {
   // Uniform integer in [0, n).
   uint64_t NextBelow(uint64_t n) { return n == 0 ? 0 : NextU64() % n; }
 
-  // Approximately standard normal (sum of uniforms; adequate for synthesis).
-  double NextGaussian() {
-    double s = 0;
-    for (int i = 0; i < 12; ++i) s += NextDouble();
-    return s - 6.0;
-  }
-
   // True with probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 

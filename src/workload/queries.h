@@ -14,8 +14,9 @@
 namespace modelardb {
 namespace workload {
 
-// Which ModelarDB++ view the generated SQL targets. Baseline systems are
-// driven by the scan-based executor in baseline_query.h instead.
+// Which ModelarDB++ view the generated SQL targets. The comparison
+// baselines (bench/baselines, outside the library) run the same specs
+// through their own scan-based executor instead.
 enum class QueryTarget { kSegmentView, kDataPointView };
 
 // Structured query specifications. The comparison benchmarks need to run

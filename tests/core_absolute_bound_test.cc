@@ -7,8 +7,8 @@
 
 #include <map>
 
+#include "bench/baselines/polynomial.h"
 #include "core/models/pmc_mean.h"
-#include "core/models/polynomial.h"
 #include "core/models/swing.h"
 #include "core/segment_generator.h"
 #include "util/random.h"
@@ -55,7 +55,7 @@ TEST(AbsoluteBoundTest, SwingTracksLineWithSlack) {
 }
 
 TEST(AbsoluteBoundTest, GeneratorReconstructsWithinAbsoluteBound) {
-  ModelRegistry registry = ModelRegistry::Extended();
+  ModelRegistry registry = ExtendedRegistry();
   SegmentGeneratorConfig config;
   config.gid = 1;
   config.si = 100;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "bench/baselines/polynomial.h"
 #include "core/models/gorilla.h"
 #include "core/models/pmc_mean.h"
 #include "core/models/swing.h"
@@ -19,7 +20,7 @@ TEST(ModelResetTest, AllBundledModelsAreReusableAfterReset) {
   ModelConfig config;
   config.num_series = 2;
   config.error_bound = ErrorBound::Relative(1.0);
-  ModelRegistry registry = ModelRegistry::Extended();
+  ModelRegistry registry = ExtendedRegistry();
   for (Mid mid : registry.fitting_sequence()) {
     auto model = *registry.CreateModel(mid, config);
     Value row[2] = {10.0f, 10.05f};

@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "core/model.h"
+#include "bench/baselines/per_series.h"
+#include "bench/baselines/polynomial.h"
 #include "core/models/gorilla.h"
-#include "core/models/per_series.h"
 #include "core/models/pmc_mean.h"
 #include "core/models/raw_fallback.h"
 #include "core/models/swing.h"
@@ -408,6 +409,31 @@ TEST(ModelRegistryTest, UnknownMidIsNotFound) {
             StatusCode::kNotFound);
 }
 
+TEST(ModelRegistryTest, LibraryRegistriesKnowExactlyTheBundledMids) {
+  // The library decodes PMC-Mean, Swing, Gorilla and the raw fallback and
+  // nothing else: the ablation models are user models, registered only by
+  // the registries that fit them.
+  for (const ModelRegistry& registry :
+       {ModelRegistry(), ModelRegistry::Default()}) {
+    std::vector<Mid> known;
+    for (Mid mid = 0; mid < 1024; ++mid) {
+      if (registry.Contains(mid)) known.push_back(mid);
+    }
+    EXPECT_EQ(known, (std::vector<Mid>{kMidPmcMean, kMidSwing, kMidGorilla,
+                                       kMidRawFallback}));
+    for (Mid ablation : {kMidPolynomial, kMidMultiPmcMean, kMidMultiSwing,
+                         kMidMultiGorilla}) {
+      EXPECT_EQ(registry.CreateDecoder(ablation, {}, 1, 1).status().code(),
+                StatusCode::kNotFound)
+          << ablation;
+      EXPECT_EQ(registry.ModelName(ablation).status().code(),
+                StatusCode::kNotFound);
+    }
+  }
+  EXPECT_TRUE(ExtendedRegistry().Contains(kMidPolynomial));
+  EXPECT_TRUE(MultiModelPerSegmentRegistry().Contains(kMidMultiGorilla));
+}
+
 TEST(ModelRegistryTest, MultiModelRegistryDecodesSingleModelSegments) {
   // Data written under one registry must stay readable under another.
   ModelRegistry writer = ModelRegistry::Default();
@@ -415,7 +441,7 @@ TEST(ModelRegistryTest, MultiModelRegistryDecodesSingleModelSegments) {
   auto model = *writer.CreateModel(kMidPmcMean, config);
   Value v = 7.0f;
   ASSERT_TRUE(model->Append(&v));
-  ModelRegistry reader = ModelRegistry::MultiModelPerSegment();
+  ModelRegistry reader = MultiModelPerSegmentRegistry();
   auto decoder =
       *reader.CreateDecoder(kMidPmcMean, model->SerializeParameters(1), 1, 1);
   EXPECT_EQ(decoder->ValueAt(0, 0), 7.0f);

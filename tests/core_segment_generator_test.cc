@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "bench/baselines/per_series.h"
 #include "util/random.h"
 
 namespace modelardb {
@@ -286,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The §5.1 registry must satisfy the same reconstruction property.
 TEST(GeneratorMultiModelTest, MultiModelRegistryWithinBound) {
-  ModelRegistry registry = ModelRegistry::MultiModelPerSegment();
+  ModelRegistry registry = MultiModelPerSegmentRegistry();
   std::vector<Tid> tids = {1, 2, 3};
   SegmentGenerator generator(Config(&registry, 3, 5.0), tids);
   Random rng(42);

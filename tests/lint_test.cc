@@ -122,13 +122,13 @@ TEST(LintLexerTest, IncludesSkipCommentsAndStrings) {
 // Rules: golden positive + clean negative per rule.
 
 TEST(LintRulesTest, IoBoundaryFires) {
-  RunCase("io_boundary_bad", {"bad_io.cc"});
+  RunCase("io_boundary_bad", {"bad_io.cc", "baseline_io.cc"});
 }
 TEST(LintRulesTest, IoBoundaryNegative) {
   RunCase("io_boundary_good", {"good_io.cc"});
 }
 TEST(LintRulesTest, SyncBoundaryFires) {
-  RunCase("sync_boundary_bad", {"bad_sync.cc"});
+  RunCase("sync_boundary_bad", {"bad_sync.cc", "baseline_sync.cc"});
 }
 TEST(LintRulesTest, SyncBoundaryNegative) {
   RunCase("sync_boundary_good", {"good_sync.cc", "good_sync_test.cc"});
@@ -147,13 +147,13 @@ TEST(LintRulesTest, MetricCatalogNegative) {
   RunCase("metric_catalog_good", {"metric_names.h", "metrics_test.cc"});
 }
 TEST(LintRulesTest, DeterminismFires) {
-  RunCase("determinism_bad", {"bad_time.cc"});
+  RunCase("determinism_bad", {"bad_time.cc", "baseline_time.cc"});
 }
 TEST(LintRulesTest, DeterminismNegative) {
   RunCase("determinism_good", {"good_time.cc"});
 }
 TEST(LintRulesTest, LayeringFires) {
-  RunCase("layering_bad", {"bad_layer.cc"});
+  RunCase("layering_bad", {"bad_layer.cc", "includes_bench.cc"});
 }
 TEST(LintRulesTest, LayeringNegative) {
   RunCase("layering_good", {"good_layer.cc"});

@@ -20,6 +20,7 @@
 #include "core/models/pmc_mean.h"
 #include "storage/segment_store.h"
 #include "util/buffer.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace modelardb {
@@ -298,6 +299,167 @@ TEST_F(SlabFileTest, TinySlabsManyCommitsRemapAndStayReadable) {
   }
 }
 
+TEST_F(SlabFileTest, CheckpointLoopOfDriftingSizesKeepsTheFileBounded) {
+  // A store checkpointing in a loop frees its previous cold index and
+  // stages the next, a little larger each time, while a scan pins the live
+  // one across the commit. Free extents must merge and be reused: the file
+  // stays proportional to the live bytes (one index block and one table),
+  // not to the number of commits.
+  auto slab_or = OpenSlab();
+  ASSERT_TRUE(slab_or.ok());
+  SlabFile* slab = slab_or->get();
+  constexpr int kCommits = 2000;
+  auto index_payload = [](int i) { return Payload(i, 256 + i / 4); };
+  uint64_t index = 0;
+  for (int i = 0; i < kCommits; ++i) {
+    SlabFile::Pin scan;
+    if (index != 0) {
+      auto pin = slab->ReadBlock(index);
+      ASSERT_TRUE(pin.ok()) << pin.status();
+      scan = *pin;
+      ASSERT_TRUE(slab->FreeBlock(index).ok());
+    }
+    auto id = slab->StageBlock(index_payload(i), 1);
+    ASSERT_TRUE(id.ok()) << id.status();
+    index = *id;
+    ASSERT_TRUE(slab->Commit(static_cast<uint64_t>(i + 1)).ok());
+  }
+  EXPECT_LT(slab->stats().file_end, 16u * 1024);
+  ExpectBlockBytes(slab, index, index_payload(kCommits - 1));
+  slab_or = OpenSlab();
+  ASSERT_TRUE(slab_or.ok()) << slab_or.status();
+  ASSERT_EQ((*slab_or)->ListBlocks().size(), 1u);
+  ExpectBlockBytes(slab_or->get(), index, index_payload(kCommits - 1));
+}
+
+TEST_F(SlabFileTest, TableNeverListsItsOwnExtentAsFree) {
+  // A commit's table carved from a free extent must not list that extent
+  // as free: a reopened slab would hand it to the next stage, overwrite
+  // the live table, and a crash before the next commit would lose the
+  // newest root.
+  {
+    auto slab = OpenSlab();
+    ASSERT_TRUE(slab.ok());
+    auto a = (*slab)->StageBlock(Payload(1, 1000), 1);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE((*slab)->Commit(1).ok());
+    ASSERT_TRUE((*slab)->FreeBlock(*a).ok());
+    ASSERT_TRUE((*slab)->Commit(2).ok());
+    // a's extent is reusable now; this commit's small table lands in it.
+    ASSERT_TRUE((*slab)->Commit(3).ok());
+  }
+  {
+    auto slab = OpenSlab();
+    ASSERT_TRUE(slab.ok());
+    ASSERT_EQ((*slab)->epoch(), 3u);
+    // Staged and never committed: the process dies here.
+    ASSERT_TRUE((*slab)->StageBlock(Payload(2, 1000), 2).ok());
+  }
+  auto slab = OpenSlab();
+  ASSERT_TRUE(slab.ok()) << slab.status();
+  EXPECT_EQ((*slab)->epoch(), 3u);
+  EXPECT_EQ((*slab)->wal_watermark(), 3u);
+}
+
+TEST_F(SlabFileTest, OlderTableListingItsOwnExtentAsFreeIsTrimmedOnLoad) {
+  // Tables written before Commit carved the table's extent ahead of its
+  // serialization list that extent as free when it came from a free
+  // extent. Load must keep the live table out of the free list, so the
+  // next stage cannot overwrite it and no extent is handed out twice.
+  {
+    auto slab = OpenSlab();
+    ASSERT_TRUE(slab.ok());
+    auto a = (*slab)->StageBlock(Payload(1, 1000), 1);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE((*slab)->Commit(1).ok());
+    ASSERT_TRUE((*slab)->FreeBlock(*a).ok());
+    ASSERT_TRUE((*slab)->Commit(2).ok());
+    ASSERT_TRUE((*slab)->Commit(3).ok());  // Table carved from a's extent.
+  }
+  // Rewrite epoch 3's table (root slot 1) the older way: the free extent
+  // that follows the table is listed from the table's own offset.
+  auto file = Env::Default()->ReadFileBytes(path_);
+  ASSERT_TRUE(file.ok());
+  uint8_t* root = file->data() + kSlotSize;
+  uint64_t epoch, table_offset, table_size;
+  std::memcpy(&epoch, root + 8, 8);
+  std::memcpy(&table_offset, root + 24, 8);
+  std::memcpy(&table_size, root + 32, 8);
+  ASSERT_EQ(epoch, 3u);
+  ASSERT_GE(table_offset, 2 * kSlotSize);
+  BufferReader reader(file->data() + table_offset, table_size);
+  BufferWriter writer;
+  auto copy_varint = [&] {
+    auto value = reader.ReadVarint();
+    EXPECT_TRUE(value.ok());
+    writer.WriteVarint(*value);
+    return *value;
+  };
+  copy_varint();  // next_id
+  ASSERT_EQ(copy_varint(), 0u);  // No committed blocks.
+  const uint64_t frees = *reader.ReadVarint();
+  std::vector<std::pair<uint64_t, uint64_t>> extents;
+  bool listed_own = false;
+  for (uint64_t i = 0; i < frees; ++i) {
+    uint64_t offset = *reader.ReadVarint();
+    uint64_t size = *reader.ReadVarint();
+    if (offset == table_offset + table_size) {
+      offset = table_offset;
+      size += table_size;
+      listed_own = true;
+    }
+    extents.emplace_back(offset, size);
+  }
+  if (!listed_own) extents.emplace_back(table_offset, table_size);
+  writer.WriteVarint(extents.size());
+  for (const auto& [offset, size] : extents) {
+    writer.WriteVarint(offset);
+    writer.WriteVarint(size);
+  }
+  std::vector<uint8_t> table = writer.Finish();
+  ASSERT_LE(table.size(), table_size);
+  table.resize(table_size, 0);
+  std::memcpy(file->data() + table_offset, table.data(), table.size());
+  const uint32_t table_crc = Crc32c(table.data(), table.size());
+  std::memcpy(root + 40, &table_crc, 4);
+  const uint32_t root_crc = Crc32c(root, kRootBytes - 4);
+  std::memcpy(root + kRootBytes - 4, &root_crc, 4);
+  {
+    auto rw = Env::Default()->NewRandomRWFile(path_);
+    ASSERT_TRUE(rw.ok());
+    ASSERT_TRUE((*rw)->WriteAt(0, file->data(), file->size()).ok());
+    ASSERT_TRUE((*rw)->Close().ok());
+  }
+  {
+    auto slab = OpenSlab();
+    ASSERT_TRUE(slab.ok()) << slab.status();
+    ASSERT_EQ((*slab)->epoch(), 3u);
+    // Staged and never committed: the process dies here.
+    ASSERT_TRUE((*slab)->StageBlock(Payload(2, 1000), 2).ok());
+  }
+  {
+    auto slab = OpenSlab();
+    ASSERT_TRUE(slab.ok()) << slab.status();
+    EXPECT_EQ((*slab)->epoch(), 3u);
+    EXPECT_EQ((*slab)->wal_watermark(), 3u);
+    // Later commits hand no extent out twice: two blocks staged over the
+    // repaired free list stay intact across commits and a reopen.
+    auto b = (*slab)->StageBlock(Payload(3, 1000), 3);
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE((*slab)->Commit(4).ok());
+    auto c = (*slab)->StageBlock(Payload(4, 1000), 4);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE((*slab)->Commit(5).ok());
+    ASSERT_TRUE((*slab)->Commit(6).ok());
+    ExpectBlockBytes(slab->get(), *b, Payload(3, 1000));
+    ExpectBlockBytes(slab->get(), *c, Payload(4, 1000));
+  }
+  auto slab = OpenSlab();
+  ASSERT_TRUE(slab.ok()) << slab.status();
+  EXPECT_EQ((*slab)->epoch(), 6u);
+  EXPECT_EQ((*slab)->ListBlocks().size(), 2u);
+}
+
 // Readers hammer pinned zero-copy reads while a writer stages + commits
 // (growing and remapping the file) and frees old blocks. The suite name
 // carries "Concurrency" so the tier-2 TSan run and the sync-coverage
@@ -454,6 +616,45 @@ TEST_F(SlabSegmentStoreTest, ColdScanByteIdenticalToHeapScan) {
   store_or = SegmentStore::Open(Options());
   ASSERT_TRUE(store_or.ok()) << store_or.status();
   EXPECT_EQ(ScanAll(store_or->get()), hot);
+}
+
+TEST_F(SlabSegmentStoreTest, CheckpointWithNothingNewCommitsNothing) {
+  // A checkpoint that finds nothing logged, hot or retired since the last
+  // commit leaves the slab as it is; any put makes the next one commit.
+  auto store_or = SegmentStore::Open(Options());
+  ASSERT_TRUE(store_or.ok()) << store_or.status();
+  std::unique_ptr<SegmentStore> store = std::move(*store_or);
+  ASSERT_TRUE(store->Checkpoint().ok());  // The first writes an empty index.
+  const uint64_t empty_epoch = store->slab_stats().epoch;
+  EXPECT_GT(empty_epoch, 0u);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->slab_stats().epoch, empty_epoch);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(store->Put(StoreSegment(1, 2 * i)).ok());
+  }
+  ASSERT_TRUE(store->Checkpoint().ok());
+  const uint64_t epoch = store->slab_stats().epoch;
+  EXPECT_EQ(epoch, empty_epoch + 1);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->slab_stats().epoch, epoch);
+  // A late put into a checkpointed block retires its payload: the next
+  // checkpoint commits, and the one after it is idle again.
+  ASSERT_TRUE(store->Put(StoreSegment(1, 3)).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->slab_stats().epoch, epoch + 1);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->slab_stats().epoch, epoch + 1);
+  const auto expected = ScanAll(store.get());
+  EXPECT_EQ(expected.size(), 41u);
+  store.reset();
+  // A reopened store whose WAL the slab covers replays nothing, so its
+  // first checkpoint is idle too.
+  store_or = SegmentStore::Open(Options());
+  ASSERT_TRUE(store_or.ok()) << store_or.status();
+  store = std::move(*store_or);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->slab_stats().epoch, epoch + 1);
+  EXPECT_EQ(ScanAll(store.get()), expected);
 }
 
 TEST_F(SlabSegmentStoreTest, OpenReplaysOnlyTheWalSuffixPastTheWatermark) {

@@ -4,10 +4,10 @@
 
 #include <cmath>
 
+#include "bench/baselines/baseline_query.h"
+#include "bench/baselines/row_store.h"
 #include "partition/partitioner.h"
-#include "workload/baseline_query.h"
 #include "workload/queries.h"
-#include "storage/row_store.h"
 
 namespace modelardb {
 namespace workload {

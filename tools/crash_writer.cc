@@ -56,9 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "bench/baselines/columnar_store.h"
 #include "core/models/pmc_mean.h"
 #include "obs/bundle.h"
-#include "storage/columnar_store.h"
 #include "storage/segment_store.h"
 #include "storage/wal.h"
 #include "util/buffer.h"
