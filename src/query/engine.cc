@@ -468,8 +468,11 @@ Result<CompiledQuery> QueryEngine::Compile(const Query& ast) const {
   // SUM/AVG keep the decode path's reduction tree: the Segment View sums
   // stored-unit range aggregates, which the per-segment summaries are;
   // the Data Point View sums scaled points, which no summary holds.
-  // Rollups bucket inside segments, so they always decode.
-  if (has_agg && !compiled.cube_level.has_value()) {
+  // Rollups take the same plan: a block or a whole segment that lies inside
+  // one bucket of the level folds into that bucket exactly as Algorithm 6's
+  // single interval would. Straddling blocks deliver their segments, and
+  // straddling segments decode.
+  if (has_agg) {
     if (!needs_sum) {
       compiled.covered_blocks = CoveredBlockUse::kPreFolds;
     } else if (ast.view == View::kSegment) {
@@ -557,6 +560,14 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
   const TimeSeriesGroup& group = groups_[view.gid - 1];
   const size_t group_size = group.tids.size();
   if (block.counts.size() != group_size) return BlockAction::kFallback;
+  // A rollup consumes a block only when one bucket holds all of it.
+  int64_t bucket = 0;
+  if (compiled.cube_level.has_value()) {
+    bucket = TimeBucket(block.min_start_time, *compiled.cube_level);
+    if (bucket != TimeBucket(block.max_end_time, *compiled.cube_level)) {
+      return BlockAction::kFallback;
+    }
+  }
 
   // Resolve the selected group positions once per block, applying the
   // value zone map. The zone map bounds every segment's statistics, and
@@ -598,7 +609,9 @@ Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
   // The group-by states are resolved once per block (std::map references
   // are stable), and only now: a fallback must leave no key behind.
   for (Sel& s : selected) {
-    s.states = &StatesFor(fold, KeyFor(compiled, s.tid), compiled.num_aggs);
+    std::vector<Cell> key = KeyFor(compiled, s.tid);
+    if (compiled.cube_level.has_value()) key.emplace_back(bucket);
+    s.states = &StatesFor(fold, key, compiled.num_aggs);
   }
 
   if (compiled.covered_blocks == CoveredBlockUse::kPreFolds) {
@@ -666,9 +679,18 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
     if (!RowRange(segment, compiled.filter, &from_row, &to_row)) {
       return Status::OK();
     }
-    const bool full_range_summary = from_row == 0 &&
-                                    to_row == segment.Length() - 1 &&
-                                    seg_summary != nullptr;
+    // A segment the time range covers whole folds its summary; in a
+    // rollup, only when one bucket holds it, where Algorithm 6's interval
+    // loop would make exactly that one AggregateRange call.
+    bool whole_summary = compiled.full_range_summaries && from_row == 0 &&
+                         to_row == segment.Length() - 1 &&
+                         seg_summary != nullptr;
+    int64_t whole_bucket = 0;
+    if (whole_summary && compiled.cube_level.has_value()) {
+      whole_bucket = TimeBucket(segment.start_time, *compiled.cube_level);
+      whole_summary =
+          whole_bucket == TimeBucket(segment.end_time, *compiled.cube_level);
+    }
     // Decoders are created lazily: segments folded from their summaries
     // never need one.
     std::unique_ptr<SegmentDecoder> decoder;
@@ -695,6 +717,13 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
       if (num_aggs > 0) key = KeyFor(compiled, s.tid);
       if (compiled.cube_level.has_value()) key.emplace_back(int64_t{0});
       if (num_aggs > 0 && relation == StatsRelation::kContained) {
+        if (whole_summary) {
+          if (compiled.cube_level.has_value()) key.back() = whole_bucket;
+          FoldSummary(&StatesFor(fold, key, num_aggs),
+                      FullRange(seg_summary, s.column, segment.Length()),
+                      s.scaling);
+          continue;
+        }
         if (compiled.cube_level.has_value()) {
           // Algorithm 6: per calendar interval of the requested level.
           MODELARDB_RETURN_NOT_OK(ensure_decoder());
@@ -715,12 +744,6 @@ Status QueryEngine::FoldMorsel(const CompiledQuery& compiled,
           continue;
         }
         std::vector<AggState>& states = StatesFor(fold, key, num_aggs);
-        if (compiled.full_range_summaries && full_range_summary) {
-          FoldSummary(&states,
-                      FullRange(seg_summary, s.column, segment.Length()),
-                      s.scaling);
-          continue;
-        }
         MODELARDB_RETURN_NOT_OK(ensure_decoder());
         if (compiled.range_fold == RangeFold::kStoredUnits) {
           FoldSummary(&states,
@@ -968,11 +991,22 @@ Result<std::string> QueryEngine::Explain(const Query& ast) const {
     static constexpr const char* kCoveredBlocks[] = {
         "decode covered blocks", "consume block aggregates",
         "fold per-segment summaries (exact SUM)"};
-    out += std::string("summary index: ") +
-           kCoveredBlocks[static_cast<int>(compiled.covered_blocks)] + "\n";
-    out += compiled.full_range_summaries
-               ? "segment summaries: whole segments fold their summary\n"
-               : "segment summaries: not used, segments decode\n";
+    std::string blocks =
+        kCoveredBlocks[static_cast<int>(compiled.covered_blocks)];
+    std::string segments = compiled.full_range_summaries
+                               ? "whole segments fold their summary"
+                               : "not used, segments decode";
+    // A rollup's summaries serve only what one bucket of its level holds.
+    if (compiled.full_range_summaries && compiled.cube_level.has_value()) {
+      const std::string bucket = std::string(" inside one ") +
+                                 TimeLevelName(*compiled.cube_level) +
+                                 " bucket";
+      blocks += bucket + "; straddling blocks deliver their segments";
+      segments = "whole segments" + bucket +
+                 " fold their summary; straddling segments decode";
+    }
+    out += "summary index: " + blocks + "\n";
+    out += "segment summaries: " + segments + "\n";
     out += compiled.range_fold == RangeFold::kStoredUnits
                ? "row ranges: fold stored units, then divide by scaling\n"
                : "row ranges: divide each point by scaling, then fold\n";

@@ -100,7 +100,9 @@ struct CompiledQuery {
   size_t num_aggs = 0;  // Aggregate states per group; 0 outputs rows.
   CoveredBlockUse covered_blocks = CoveredBlockUse::kDecode;
   // A segment the time range covers whole, inside the value range, folds
-  // its materialized full-range summary instead of being decoded.
+  // its materialized full-range summary instead of being decoded. In a
+  // rollup, covered blocks and whole segments fold only when one bucket of
+  // `cube_level` holds them.
   bool full_range_summaries = false;
   RangeFold range_fold = RangeFold::kStoredUnits;
   // Output columns of a non-aggregate query, `*` expanded for the view.
@@ -236,8 +238,9 @@ class QueryEngine {
   // Consumes a fully time-covered block as `compiled.covered_blocks`
   // says, from its index alone (pre-folds, or per-segment gap masks,
   // lengths and summaries): no payload is read or pinned. Returns
-  // kFallback when the value zone map straddles the predicate: the
-  // segment path decides per segment.
+  // kFallback when the value zone map straddles the predicate, or a
+  // rollup's block straddles a bucket boundary: the segment path decides
+  // per segment.
   Result<BlockAction> ConsumeCoveredBlock(const CompiledQuery& compiled,
                                           const BlockView& view,
                                           Fold* fold) const;

@@ -86,7 +86,9 @@ TEST_F(ExplainTest, ExplainSqlReturnsPlanRows) {
 // The plan EXPLAIN prints is the path EXPLAIN ANALYZE measures: for each
 // view x aggregate class x value predicate, blocks are summarized only
 // when the summary-index line says so, and segments are decoded only when
-// the plan decodes them.
+// the plan decodes them. A rollup's line names its bucket rule instead:
+// only blocks and segments inside one bucket fold their summaries, so
+// which of them do is the data's doing.
 class ExplainPlanTest : public ExplainTest {
  protected:
   void SetUp() override {
@@ -145,6 +147,7 @@ TEST_F(ExplainPlanTest, SummaryIndexLineMatchesAnalyzeCounters) {
       "SELECT COUNT_S(*), MIN_S(*), MAX_S(*) FROM Segment",
       "SELECT SUM_S(*), AVG_S(*) FROM Segment",
       "SELECT CUBE_SUM_HOUR(*), CUBE_COUNT_HOUR(*) FROM Segment",
+      "SELECT CUBE_SUM_SECOND(*), CUBE_COUNT_SECOND(*) FROM Segment",
       "SELECT COUNT(Value), MIN(Value), MAX(Value) FROM DataPoint",
       "SELECT SUM(Value), AVG(Value) FROM DataPoint",
   };
@@ -163,6 +166,30 @@ TEST_F(ExplainPlanTest, SummaryIndexLineMatchesAnalyzeCounters) {
       ASSERT_TRUE(analyzed.ok()) << sql << ": " << analyzed.status();
       const int64_t summarized = Counter(*analyzed, "blocks summarized");
       const int64_t decoded = Counter(*analyzed, "segments decoded");
+      if (plan.find("time rollup: ") != std::string::npos) {
+        // The data spans 400 s from time 0: every block lies inside one
+        // HOUR, and every block of 4 segments straddles a SECOND.
+        const bool hour = sql.find("_HOUR(") != std::string::npos;
+        const std::string level = hour ? "HOUR" : "SECOND";
+        EXPECT_NE(plan.find("summary index: fold per-segment summaries "
+                            "(exact SUM) inside one " + level +
+                            " bucket; straddling blocks deliver their "
+                            "segments"),
+                  std::string::npos)
+            << plan;
+        EXPECT_NE(plan.find("segment summaries: whole segments inside one " +
+                            level + " bucket fold their summary; "
+                            "straddling segments decode"),
+                  std::string::npos)
+            << plan;
+        EXPECT_EQ(summarized > 0, hour) << sql << "\n" << plan;
+        if (!hour) {
+          EXPECT_GT(decoded, 0) << sql << "\n" << plan;
+        } else if (where.empty()) {
+          EXPECT_EQ(decoded, 0) << sql << "\n" << plan;
+        }
+        continue;
+      }
       // Every block is fully covered (no time range), and the predicate
       // contains the high-regime blocks.
       EXPECT_EQ(summarized > 0, summarizes) << sql << "\n" << plan;

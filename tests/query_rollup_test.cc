@@ -1,7 +1,9 @@
 // Calendar-edge tests for Algorithm 6: segments spanning hour, day, month
 // and year boundaries (including a leap February) must split their
 // aggregates exactly at the boundaries, matching data-point-level
-// bucketing.
+// bucketing. Every case also runs on indexed stores, where blocks and
+// segments inside one bucket fold their summaries and only straddlers
+// decode, and must return the same rows as the store that decodes all.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 namespace modelardb {
 namespace query {
 namespace {
+
+const size_t kBlockSizes[] = {1, 256};
 
 class RollupTest : public ::testing::Test {
  protected:
@@ -31,7 +35,16 @@ class RollupTest : public ::testing::Test {
     catalog_->GetMutable(1)->gid = 1;
     groups_ = {{1, {1}, si}};
     registry_ = ModelRegistry::Default();
-    store_ = std::move(*SegmentStore::Open(SegmentStoreOptions{}));
+    // The reference has no registry, so no summaries: every segment
+    // decodes.
+    stores_.push_back(std::move(*SegmentStore::Open(SegmentStoreOptions{})));
+    for (size_t block_size : kBlockSizes) {
+      SegmentStoreOptions options;
+      options.block_size = block_size;
+      options.registry = &registry_;
+      options.group_sizes[1] = 1;
+      stores_.push_back(std::move(*SegmentStore::Open(options)));
+    }
     SegmentGeneratorConfig config;
     config.gid = 1;
     config.si = si;
@@ -47,9 +60,26 @@ class RollupTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE(generator.Flush(&segments).ok());
-    ASSERT_TRUE(store_->PutBatch(segments).ok());
+    for (const auto& store : stores_) {
+      ASSERT_TRUE(store->PutBatch(segments).ok());
+    }
     engine_ = std::make_unique<QueryEngine>(catalog_.get(), groups_,
                                             &registry_);
+  }
+
+  // Runs `sql` on every store and returns the reference's result, after
+  // asserting that each indexed store returns the same rows.
+  Result<QueryResult> Execute(const std::string& sql) {
+    Result<QueryResult> reference = engine_->Execute(sql, {stores_[0].get()});
+    for (size_t i = 1; i < stores_.size(); ++i) {
+      Result<QueryResult> indexed = engine_->Execute(sql, {stores_[i].get()});
+      EXPECT_EQ(indexed.ok(), reference.ok()) << sql;
+      if (indexed.ok() && reference.ok()) {
+        EXPECT_EQ(indexed->rows, reference->rows)
+            << sql << " at block size " << kBlockSizes[i - 1];
+      }
+    }
+    return reference;
   }
 
   // Ground truth: per-bucket sums of the row-index values.
@@ -63,8 +93,7 @@ class RollupTest : public ::testing::Test {
   }
 
   void CheckCube(const std::string& fn, TimeLevel level) {
-    auto result = engine_->Execute(
-        "SELECT " + fn + "(*) FROM Segment WHERE Tid = 1", {store_.get()});
+    auto result = Execute("SELECT " + fn + "(*) FROM Segment WHERE Tid = 1");
     ASSERT_TRUE(result.ok()) << result.status();
     std::map<int64_t, double> expected = Bucketize(level);
     ASSERT_EQ(result->rows.size(), expected.size());
@@ -83,7 +112,7 @@ class RollupTest : public ::testing::Test {
   std::unique_ptr<TimeSeriesCatalog> catalog_;
   std::vector<TimeSeriesGroup> groups_;
   ModelRegistry registry_;
-  std::unique_ptr<SegmentStore> store_;
+  std::vector<std::unique_ptr<SegmentStore>> stores_;  // [0]: reference.
   std::unique_ptr<QueryEngine> engine_;
 };
 
@@ -116,10 +145,9 @@ TEST_F(RollupTest, MinuteBucketsHighFrequency) {
 
 TEST_F(RollupTest, AvgAndCountAgreeWithSum) {
   Build(FromCivil({2016, 4, 12, 6, 13, 0, 0}), 60 * 1000, 300);
-  auto result = engine_->Execute(
+  auto result = Execute(
       "SELECT CUBE_SUM_HOUR(*), CUBE_COUNT_HOUR(*), CUBE_AVG_HOUR(*) "
-      "FROM Segment WHERE Tid = 1",
-      {store_.get()});
+      "FROM Segment WHERE Tid = 1");
   ASSERT_TRUE(result.ok());
   for (const auto& row : result->rows) {
     double sum = std::get<double>(row[1]);
@@ -133,10 +161,9 @@ TEST_F(RollupTest, CubeRespectsTimeRangePredicate) {
   Build(FromCivil({2016, 4, 12, 6, 0, 0, 0}), 60 * 1000, 600);
   Timestamp lo = FromCivil({2016, 4, 12, 8, 0, 0, 0});
   Timestamp hi = FromCivil({2016, 4, 12, 10, 0, 0, 0}) - 1;
-  auto result = engine_->Execute(
+  auto result = Execute(
       "SELECT CUBE_COUNT_HOUR(*) FROM Segment WHERE Tid = 1 AND TS >= " +
-          std::to_string(lo) + " AND TS <= " + std::to_string(hi),
-      {store_.get()});
+      std::to_string(lo) + " AND TS <= " + std::to_string(hi));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 2u);  // Exactly hours 8 and 9.
   for (const auto& row : result->rows) {
@@ -146,8 +173,8 @@ TEST_F(RollupTest, CubeRespectsTimeRangePredicate) {
 
 TEST_F(RollupTest, MixedCubeLevelsRejected) {
   Build(FromCivil({2016, 4, 12, 6, 0, 0, 0}), 60 * 1000, 10);
-  auto result = engine_->Execute(
-      "SELECT CUBE_SUM_HOUR(*), CUBE_SUM_DAY(*) FROM Segment", {store_.get()});
+  auto result =
+      Execute("SELECT CUBE_SUM_HOUR(*), CUBE_SUM_DAY(*) FROM Segment");
   EXPECT_FALSE(result.ok());
 }
 

@@ -326,6 +326,52 @@ TEST_F(SummaryIndexPropertyTest, SelectedTidSubsetsIdentical) {
       "GROUP BY Tid ORDER BY Tid");
 }
 
+TEST_F(SummaryIndexPropertyTest, RollupsIdenticalAtEveryLevel) {
+  // The data spans 100 s from 00:16:40 on 1970-01-01: at SECOND most
+  // segments and at MINUTE a few straddle a bucket boundary (their blocks
+  // deliver them and they decode), while from HOUR up everything lies
+  // inside one bucket and folds its summaries.
+  const std::string interior = " WHERE TS >= " +
+                               std::to_string(kStart + 137 * kSi) +
+                               " AND TS <= " +
+                               std::to_string(kStart + 1500 * kSi);
+  for (const char* fn : {"COUNT", "MIN", "MAX", "SUM", "AVG"}) {
+    for (const char* level :
+         {"SECOND", "MINUTE", "HOUR", "DAY", "MONTH", "YEAR"}) {
+      const std::string agg =
+          std::string("CUBE_") + fn + "_" + level + "(*)";
+      ExpectIdenticalAcrossStores("SELECT " + agg + " FROM Segment");
+      ExpectIdenticalAcrossStores("SELECT Park, " + agg +
+                                  " FROM Segment GROUP BY Park ORDER BY Park");
+      ExpectIdenticalAcrossStores(
+          "SELECT Tid, " + agg +
+          " FROM Segment WHERE Tid IN (1, 3, 5) GROUP BY Tid ORDER BY Tid");
+      ExpectIdenticalAcrossStores(
+          "SELECT " + agg + " FROM Segment WHERE Value >= 50 AND Value <= 400");
+      ExpectIdenticalAcrossStores("SELECT " + agg + " FROM Segment" +
+                                  interior);
+    }
+  }
+}
+
+TEST_F(SummaryIndexPropertyTest, RollupsFoldWhatOneBucketHolds) {
+  const size_t cold = Slot(256, Placement::kCheckpointed);
+  // One MONTH holds every block: all are summarized from the index alone,
+  // with no slab pin and no decoder.
+  std::map<std::string, int64_t> month =
+      ExplainCounters("SELECT CUBE_SUM_MONTH(*) FROM Segment", cold);
+  EXPECT_GT(month["blocks summarized"], 0);
+  EXPECT_EQ(month["blocks scanned"], 0);
+  EXPECT_EQ(month["segments decoded"], 0);
+  EXPECT_EQ(month["cold pins"], 0);
+  // Every block straddles a SECOND and delivers its segments; of those,
+  // only the segments that straddle a SECOND decode.
+  std::map<std::string, int64_t> second =
+      ExplainCounters("SELECT CUBE_SUM_SECOND(*) FROM Segment", cold);
+  EXPECT_GT(second["segments decoded"], 0);
+  EXPECT_LT(second["segments decoded"], second["segments scanned"]);
+}
+
 TEST_F(SummaryIndexPropertyTest, WholeRangeAnswersFromSummariesOnly) {
   // A whole-range aggregate must be served entirely from the index:
   // blocks summarized, nothing decoded.

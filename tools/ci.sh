@@ -93,10 +93,12 @@ echo "ci: diagnostics-bundle gate passed"
 # itself and requires "failed": 0. The traced mode replays ExecuteOnWorker
 # + MergeFinalize against the same answer check as ClusterEngine::Execute,
 # so this also catches that replica drifting from the engine. Checkpointed
-# blocks must answer S-AGG and L-AGG from their summaries exactly as hot
-# ones do: the traced summarized_share of both classes must be equal on
-# ep_cold and ep_hot, and ep_cold's traced cold_pins of both classes must
-# be 0 (a covered block folds from its index, without a slab pin).
+# blocks must answer S-AGG, L-AGG and M-AGG from their summaries exactly as
+# hot ones do: the traced summarized_share of the three classes must be
+# equal on ep_cold and ep_hot, and ep_cold's traced cold_pins of the three
+# must be 0 (a covered block folds from its index, without a slab pin; an
+# M-AGG rollup does so for every block inside one calendar bucket, which
+# is every EP block at MONTH level).
 results=()
 for run in "--workload ep_hot --trace 1" "--workload ep_cold --trace 0" \
            "--workload ep_cold --trace 1"; do
@@ -113,13 +115,15 @@ if ! python3 - "${results[0]}" "${results[2]}" <<'PY'
 import json, sys
 hot, cold = (json.loads(arg)["metrics"] for arg in sys.argv[1:3])
 bad = [name for name in ("sagg.storage.summarized_share",
-                         "lagg.storage.summarized_share")
+                         "lagg.storage.summarized_share",
+                         "magg.storage.summarized_share")
        if cold[name]["value"] != hot[name]["value"]]
 for name in bad:
     print("FAIL: e2ebench %s is %s on ep_cold but %s on ep_hot"
           % (name, cold[name]["value"], hot[name]["value"]), file=sys.stderr)
 pinned = [name for name in ("sagg.storage.cold_pins",
-                            "lagg.storage.cold_pins")
+                            "lagg.storage.cold_pins",
+                            "magg.storage.cold_pins")
           if cold[name]["value"] != 0]
 for name in pinned:
     print("FAIL: e2ebench %s is %s on ep_cold, not 0"
